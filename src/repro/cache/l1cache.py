@@ -10,6 +10,12 @@ from dataclasses import dataclass
 
 from repro.cache.mesi import MesiState
 
+#: Stand-in for every set that has never held a line.  Lookups read it
+#: like any set; :meth:`L1Cache.install` swaps in a private dict before
+#: the first insert, so it stays empty.  A fresh cache then costs one
+#: list of references instead of ``num_sets`` dicts.
+_EMPTY_SET = {}
+
 
 @dataclass
 class CacheConfig:
@@ -56,7 +62,7 @@ class L1Cache:
     def __init__(self, config=None, core_id=0):
         self.config = config or CacheConfig()
         self.core_id = core_id
-        self._sets = [dict() for _ in range(self.config.num_sets)]
+        self._sets = [_EMPTY_SET] * self.config.num_sets
         self._tick = 0
         self.eviction_count = 0
         # Geometry snapshot: every simulated access computes a line
@@ -97,13 +103,16 @@ class L1Cache:
         """
         line_size = self._line_size
         line_address = address - address % line_size
-        cache_set = self._sets[line_address // line_size % self._num_sets]
+        index = line_address // line_size % self._num_sets
+        cache_set = self._sets[index]
         self._tick += 1
         existing = cache_set.get(line_address)
         if existing is not None:
             existing.state = state
             existing.last_use = self._tick
             return None
+        if cache_set is _EMPTY_SET:
+            cache_set = self._sets[index] = {}
         evicted = None
         if len(cache_set) >= self.config.associativity:
             victim_address = min(
@@ -142,4 +151,4 @@ class L1Cache:
 
     def flush(self):
         """Empty the cache (used between simulated runs)."""
-        self._sets = [dict() for _ in range(self.config.num_sets)]
+        self._sets = [_EMPTY_SET] * self.config.num_sets

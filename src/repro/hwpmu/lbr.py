@@ -21,7 +21,8 @@ Ring invariants (the execution-backend contract relies on these):
   appending a batch must leave ``entries()`` and ``recorded_count``
   exactly as if each entry had been :meth:`record`-ed individually, and
   batches must be flushed before any read of the ring (profile snapshot,
-  MSR read, observer callback, end of run).
+  MSR read, end of run).  Software branch observers may not read the
+  ring mid-run.
 """
 
 import enum
@@ -147,15 +148,15 @@ class LastBranchRecord:
         msr_file.register_read_handler(
             msrdefs.LBR_SELECT, lambda: self.select_mask
         )
-        for slot in range(self.capacity):
-            msr_file.register_read_handler(
-                msrdefs.MSR_LASTBRANCH_FROM_BASE + slot,
-                self._from_ip_reader(slot),
-            )
-            msr_file.register_read_handler(
-                msrdefs.MSR_LASTBRANCH_TO_BASE + slot,
-                self._to_ip_reader(slot),
-            )
+        # TO first, so the FROM bank answers where the two overlap
+        # (capacity > 64).
+        msr_file.register_range_reader(
+            msrdefs.MSR_LASTBRANCH_TO_BASE, self.capacity, self._read_to_ip,
+        )
+        msr_file.register_range_reader(
+            msrdefs.MSR_LASTBRANCH_FROM_BASE, self.capacity,
+            self._read_from_ip,
+        )
 
     def _write_debugctl(self, value):
         if value & DEBUGCTL_ENABLE_VALUE:
@@ -163,17 +164,13 @@ class LastBranchRecord:
         else:
             self.disable()
 
-    def _from_ip_reader(self, slot):
-        def read():
-            entry = self.entry_latest(slot + 1)
-            return 0 if entry is None else entry.from_address
-        return read
+    def _read_from_ip(self, slot):
+        entry = self.entry_latest(slot + 1)
+        return 0 if entry is None else entry.from_address
 
-    def _to_ip_reader(self, slot):
-        def read():
-            entry = self.entry_latest(slot + 1)
-            return 0 if entry is None else entry.to_address
-        return read
+    def _read_to_ip(self, slot):
+        entry = self.entry_latest(slot + 1)
+        return 0 if entry is None else entry.to_address
 
     # ------------------------------------------------------------------
     # Hardware interface

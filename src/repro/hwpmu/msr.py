@@ -33,16 +33,31 @@ class MsrFile:
 
     Plain MSRs behave as storage.  A hardware unit may register *handlers*
     for specific MSR numbers so reads and writes are serviced live.
+    Where registrations overlap, the latest one answers.
     """
 
     def __init__(self):
         self._values = {}
         self._read_handlers = {}
         self._write_handlers = {}
+        #: ``(base, count, reader)`` slot ranges, newest first
+        self._read_ranges = []
 
     def register_read_handler(self, msr, handler):
         """Route ``rdmsr`` of *msr* through *handler()*."""
         self._read_handlers[msr] = handler
+
+    def register_range_reader(self, base, count, reader):
+        """Route ``rdmsr`` of ``base + slot`` (``0 <= slot < count``)
+        through *reader(slot)*.
+
+        One registration stands for *count* per-slot read handlers, so
+        a ring's slot registers cost nothing to set up.
+        """
+        handlers = self._read_handlers
+        for msr in [msr for msr in handlers if base <= msr < base + count]:
+            del handlers[msr]
+        self._read_ranges.insert(0, (base, count, reader))
 
     def register_write_handler(self, msr, handler):
         """Route ``wrmsr`` of *msr* through *handler(value)*."""
@@ -53,6 +68,9 @@ class MsrFile:
         handler = self._read_handlers.get(msr)
         if handler is not None:
             return handler()
+        for base, count, reader in self._read_ranges:
+            if 0 <= msr - base < count:
+                return reader(msr - base)
         if msr in self._values:
             return self._values[msr]
         raise MsrAccessError("rdmsr of unimplemented MSR 0x%x" % msr)

@@ -42,7 +42,8 @@ read the rings.  The threaded backend therefore evaluates the
 enable/filter state *eagerly* at retire time (filter state only changes
 inside ``HWOP``, which flushes first), appends matching events to a
 per-core pending list, and drains the list into the real ring before
-every observation point.  Ring contents at every observation point are
+every observation point (software observers may not read the rings;
+see below).  Ring contents at every observation point are
 byte-identical to per-instruction appends; ``recorded_count`` is
 incremented by the full pending length, so counter-based metrics match
 too.
@@ -62,18 +63,27 @@ replicated picks.  Schedulers without a lease (e.g. the seeded
 draw per pick) degrade to one-instruction slices and still benefit from
 threaded dispatch.
 
-Fallback semantics
+Software observers
 ------------------
 
 Software observers (``machine.branch_observers`` /
 ``machine.coherence_observers``, used by the execution tracer, the
-CBI/CCI baselines, and the BTS simulation) require a synchronous
-callback per event, which the deferred path cannot provide.  The
-threaded backend checks for observers at run start and at every slice
-boundary; the moment any are present it flushes the pending rings and
-delegates the *rest of the run* to the reference loop.  Observer users
-therefore run on the reference path automatically — no configuration
-needed, no behaviour change possible.
+CBI/CCI/CBI-adaptive baselines, and the BTS simulation) are delivered
+inline by the threaded closures, in the reference order: a coherence
+observer fires after the bus, the LCR decision and the counters (PBI's
+sample hook included) have seen the access; a branch observer fires
+before the branch reaches the LBR, and conditional branches reach it
+taken or not (with the static target either way).  Mutex operations
+keep using the synchronous :meth:`Machine.data_access`.  Every closure
+looks the observer lists up per event, so an observer appended mid-run
+(for example from a profile hook) sees the very next event.
+
+The contract for observers: they may read their arguments,
+``thread.tid`` and immutable program data, but not the rings or the
+retired counters mid-run — those are only exact at the observation
+points above, which is where observer-free code reads them too.  Under
+that contract there is no fallback: every run executes on the engine
+its configuration names.
 """
 
 from contextlib import contextmanager
@@ -174,9 +184,8 @@ def get_backend(name):
 # ----------------------------------------------------------------------
 
 
-def _reference_loop(machine, budget, steps=0, hang_delivered=False,
-                    last_thread=None):
-    """The original per-instruction run loop (also the fallback target).
+def _reference_loop(machine, budget):
+    """The original per-instruction run loop.
 
     Must remain semantically identical to the historical
     ``Machine.run`` body: pick, step, profile hook, watchdog — in that
@@ -185,6 +194,9 @@ def _reference_loop(machine, budget, steps=0, hang_delivered=False,
     profile_every = machine._profile_every
     profile_hook = machine._profile_hook
     scheduler = machine.scheduler
+    steps = 0
+    hang_delivered = False
+    last_thread = None
     while machine.running:
         thread = scheduler.pick(machine)
         if thread is None:
@@ -318,6 +330,10 @@ def _deferred_load(machine, thread, pc, ring, ring_user, address):
             if counters._sample_countdown <= 0:
                 counters._sample_countdown = counters._sample_period
                 counters._sample_hook(pc, _LOAD, observed)
+    observers = machine.coherence_observers
+    if observers:
+        for observer in observers:
+            observer(thread, pc, _LOAD, observed, address)
     return value
 
 
@@ -353,11 +369,28 @@ def _deferred_store(machine, thread, pc, ring, ring_user, address, value):
             if counters._sample_countdown <= 0:
                 counters._sample_countdown = counters._sample_period
                 counters._sample_hook(pc, _STORE, observed)
+    observers = machine.coherence_observers
+    if observers:
+        for observer in observers:
+            observer(thread, pc, _STORE, observed, address)
 
 
-def _pend_branch(machine, core_id, entry, select_test):
-    """Account a taken branch with a prebuilt LBR entry."""
+def _notify_branch(machine, thread, instr, taken, target):
+    """Deliver one retired branch to the software branch observers."""
+    for observer in machine.branch_observers:
+        observer(thread, instr, taken, target)
+
+
+def _pend_branch(machine, thread, instr, entry, select_test):
+    """Account a taken branch with a prebuilt LBR entry.
+
+    Observers see the branch before the LBR does, as in
+    :meth:`Machine.retire_branch`.
+    """
+    if machine.branch_observers:
+        _notify_branch(machine, thread, instr, True, entry.to_address)
     machine.branches_taken += 1
+    core_id = thread.core_id
     lbr = machine.cores[core_id].lbr
     if lbr.enabled and not (lbr.select_mask & select_test):
         pending = machine._lbr_pending[core_id]
@@ -367,15 +400,19 @@ def _pend_branch(machine, core_id, entry, select_test):
             del pending[:]
 
 
-def _pend_branch_dynamic(machine, core_id, pc, target, kind, ring,
+def _pend_branch_dynamic(machine, thread, instr, target, kind,
                          select_test):
     """Account a taken branch whose target is only known at run time."""
+    if machine.branch_observers:
+        _notify_branch(machine, thread, instr, True, target)
     machine.branches_taken += 1
+    core_id = thread.core_id
     lbr = machine.cores[core_id].lbr
     if lbr.enabled and not (lbr.select_mask & select_test):
         pending = machine._lbr_pending[core_id]
         pending.append(LbrEntry(
-            from_address=pc, to_address=target, kind=kind, ring=ring,
+            from_address=instr.address, to_address=target, kind=kind,
+            ring=instr.ring,
         ))
         if len(pending) >= _PENDING_FLUSH_THRESHOLD:
             lbr.bulk_append(pending)
@@ -480,22 +517,29 @@ def _compile_instruction(instr, program):
                          kind=BranchKind.CONDITIONAL, ring=ring)
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.CONDITIONAL]))
+        # Untaken conditionals still reach the observers, with the
+        # static target (as in the reference interpreter).
         if opcode is Opcode.JZ:
             def op_jz(machine, thread):
                 if thread.regs[rs] == 0:
-                    _pend_branch(machine, thread.core_id, entry,
+                    _pend_branch(machine, thread, instr, entry,
                                  select_test)
                     thread.pc = target
                 else:
+                    if machine.branch_observers:
+                        _notify_branch(machine, thread, instr, False,
+                                       target)
                     thread.pc = next_pc
                 return cont
             return op_jz
 
         def op_jnz(machine, thread):
             if thread.regs[rs] != 0:
-                _pend_branch(machine, thread.core_id, entry, select_test)
+                _pend_branch(machine, thread, instr, entry, select_test)
                 thread.pc = target
             else:
+                if machine.branch_observers:
+                    _notify_branch(machine, thread, instr, False, target)
                 thread.pc = next_pc
             return cont
         return op_jnz
@@ -508,7 +552,7 @@ def _compile_instruction(instr, program):
                        | int(_KIND_TO_BIT[BranchKind.UNCOND_DIRECT]))
 
         def op_jmp(machine, thread):
-            _pend_branch(machine, thread.core_id, entry, select_test)
+            _pend_branch(machine, thread, instr, entry, select_test)
             thread.pc = target
             return cont
         return op_jmp
@@ -534,21 +578,24 @@ def _compile_instruction(instr, program):
             _deferred_store(machine, thread, pc, ring, ring_user, sp,
                             next_pc)
             regs[SP] = sp
-            _pend_branch(machine, thread.core_id, entry, select_test)
+            _pend_branch(machine, thread, instr, entry, select_test)
             thread.pc = target
             return cont
         return op_call
 
     if opcode is Opcode.CALLR:
         rs = instr.rs
-        has_instruction = program.has_instruction
+        # The address index, not ``program.has_instruction``: a bound
+        # method would make the table (stored on the program) reference
+        # the program, a cycle only the cyclic collector can free.
+        code_addresses = program._index_by_address
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_IND_CALL]))
 
         def op_callr(machine, thread):
             regs = thread.regs
             target = regs[rs]
-            if not has_instruction(target):
+            if target not in code_addresses:
                 raise MachineFault(FaultInfo(
                     kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
                     thread_id=thread.tid, address=target,
@@ -558,15 +605,14 @@ def _compile_instruction(instr, program):
             _deferred_store(machine, thread, pc, ring, ring_user, sp,
                             next_pc)
             regs[SP] = sp
-            _pend_branch_dynamic(machine, thread.core_id, pc, target,
-                                 BranchKind.NEAR_IND_CALL, ring,
-                                 select_test)
+            _pend_branch_dynamic(machine, thread, instr, target,
+                                 BranchKind.NEAR_IND_CALL, select_test)
             thread.pc = target
             return cont
         return op_callr
 
     if opcode is Opcode.RET:
-        has_instruction = program.has_instruction
+        code_addresses = program._index_by_address  # see CALLR
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_RET]))
 
@@ -586,15 +632,14 @@ def _compile_instruction(instr, program):
             if return_address == SIGNAL_RETURN_ADDR:
                 machine.signal_handler_returned(thread)
                 return brk
-            if not has_instruction(return_address):
+            if return_address not in code_addresses:
                 raise MachineFault(FaultInfo(
                     kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
                     thread_id=thread.tid, address=return_address,
                     message="return to bad address",
                 ))
-            _pend_branch_dynamic(machine, thread.core_id, pc,
-                                 return_address, BranchKind.NEAR_RET,
-                                 ring, select_test)
+            _pend_branch_dynamic(machine, thread, instr, return_address,
+                                 BranchKind.NEAR_RET, select_test)
             thread.pc = return_address
             return cont
         return op_ret
@@ -846,14 +891,6 @@ class ThreadedBackend(ExecBackend):
         hang_delivered = False
         last_thread = None
         while machine.running:
-            if machine.branch_observers or machine.coherence_observers:
-                # Observers need synchronous per-event callbacks; hand
-                # the rest of the run to the reference loop.
-                machine.flush_ring_buffers()
-                _reference_loop(machine, budget, steps=steps,
-                                hang_delivered=hang_delivered,
-                                last_thread=last_thread)
-                return
             if lease is not None:
                 leased = lease(machine)
                 if leased is None:

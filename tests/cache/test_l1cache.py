@@ -1,6 +1,8 @@
 """Tests for the L1 cache model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.l1cache import CacheConfig, L1Cache
 from repro.cache.mesi import MesiState
@@ -79,3 +81,44 @@ def test_flush_empties_cache():
 def test_degenerate_config_rejected():
     with pytest.raises(ValueError):
         CacheConfig(total_size=0).num_sets
+
+
+_SMALL = CacheConfig(total_size=512, line_size=64, associativity=2)
+_addresses = st.integers(min_value=0, max_value=255).map(lambda n: n * 16)
+_states = st.sampled_from(list(MesiState))
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("install"), _addresses, _states),
+    st.tuples(st.just("set_state"), _addresses, _states),
+    st.tuples(st.just("touch"), _addresses),
+    st.tuples(st.just("invalidate"), _addresses),
+    st.tuples(st.just("flush")),
+), max_size=80)
+
+
+def _snapshot(cache):
+    return (cache.eviction_count,
+            [(line.line_address, line.state, line.last_use)
+             for line in cache.resident_lines()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_ops)
+def test_lazy_sets_behave_like_eager_sets(ops):
+    """Sets created on first install give the same evictions, flushes
+    and resident_lines() order as a cache whose sets all exist up
+    front."""
+    lazy = L1Cache(config=_SMALL)
+    eager = L1Cache(config=_SMALL)
+
+    def make_eager():
+        eager._sets = [{} for _ in range(_SMALL.num_sets)]
+
+    make_eager()
+    for op in ops:
+        name, args = op[0], op[1:]
+        assert getattr(lazy, name)(*args) == getattr(eager, name)(*args)
+        if name == "flush":
+            make_eager()
+        assert _snapshot(lazy) == _snapshot(eager)
+    # The shared stand-in for untouched sets never gains a line.
+    assert list(L1Cache(config=_SMALL).resident_lines()) == []
