@@ -4,7 +4,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.baselines.scoring import liblit_rank, rank_of_line
-from repro.compiler.frontend import compile_module
+from repro.compiler.frontend import build_program
 from repro.core.api import (
     confidence_summary,
     deprecated_alias,
@@ -108,8 +108,7 @@ class BaselineToolBase:
         #: optional Observability pinned for run_diagnosis (default:
         #: whatever bundle is current at diagnosis time)
         self.obs = self.options.get("obs")
-        self.program = compile_module(workload.build_module(),
-                                      toggling=False)
+        self.program = build_program(workload)
         self.machine_config = MachineConfig(num_cores=workload.num_cores)
         self.events_observed = 0
         self.samples_taken = 0

@@ -1,7 +1,11 @@
-"""One-call compilation pipeline: MiniC source to executable Program."""
+"""One-call compilation pipelines: MiniC source to executable Program."""
+
+import inspect
+from collections import OrderedDict
 
 from repro.lang.ast_nodes import Module
 from repro.lang.parser import parse
+from repro.lang.transform import enhance_logging
 from repro.compiler.codegen import Compiler
 from repro.compiler.stdlib import stdlib_module
 
@@ -48,3 +52,54 @@ def compile_source(source, source_name="<minic>", toggling=False,
         module, toggling=toggling, include_stdlib=include_stdlib,
         entry=entry,
     )
+
+
+#: Programs :func:`build_program` keeps: the widest working set of one
+#: bug's tools in a Table 6 row.  Each program with its threaded code is
+#: about 1 MB, and tools are built and dropped one after another, so a
+#: larger memo buys no hits, only memory.
+_MEMO_CAPACITY = 4
+
+#: build key -> Program, least recently used first
+_built = OrderedDict()
+
+#: every ``enhance_logging`` option with its default
+_ENHANCE_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(enhance_logging)
+    .parameters.items()
+    if parameter.default is not inspect.Parameter.empty
+}
+
+
+def build_program(workload, toggling=False, **enhance):
+    """Return *workload*'s program, compiled with *toggling*.
+
+    With *enhance* options (any of :func:`enhance_logging`'s keyword
+    arguments) the module is log-enhanced first; without any it is
+    compiled plain.  The result is memoized on ``(workload.source,
+    workload.name, toggling, options)``, with the options resolved
+    against ``enhance_logging``'s defaults, so spelling an option at its
+    default value shares an entry with leaving it out.  The memo holds
+    the four most recently used programs (``_MEMO_CAPACITY``).
+
+    Callers share the returned program: it must not be mutated.
+    """
+    options = None
+    if enhance:
+        # An unknown option never reaches the memo: enhance_logging
+        # rejects it on the miss.
+        options = tuple(sorted({**_ENHANCE_DEFAULTS, **enhance}.items()))
+    key = (workload.source, workload.name, toggling, options)
+    program = _built.get(key)
+    if program is not None:
+        _built.move_to_end(key)
+        return program
+    module = workload.build_module()
+    if options is not None:
+        module = enhance_logging(module, **dict(options))
+    program = compile_module(module, toggling=toggling)
+    _built[key] = program
+    if len(_built) > _MEMO_CAPACITY:
+        _built.popitem(last=False)
+    return program

@@ -18,8 +18,8 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from repro.compiler.frontend import compile_module
-from repro.lang.transform import ReactiveTarget, enhance_logging
+from repro.compiler.frontend import build_program
+from repro.lang.transform import ReactiveTarget
 from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
@@ -193,7 +193,6 @@ class DiagnosisToolBase:
         self.machine_config = MachineConfig(num_cores=workload.num_cores)
         #: stop reason when the active CampaignBudget cut a stream short
         self._budget_stop = None
-        self._module = workload.build_module()
         self.failure_program = self._build_program(
             success_scheme="proactive" if scheme == "proactive" else "none",
         )
@@ -203,15 +202,14 @@ class DiagnosisToolBase:
     # ------------------------------------------------------------------
 
     def _build_program(self, success_scheme, reactive_target=None):
-        enhanced = enhance_logging(
-            self._module,
+        return build_program(
+            self.workload, self.toggling,
             log_functions=self.workload.log_functions,
             rings=(self.ring,),
             lcr_selector=self.lcr_selector,
             success_scheme=success_scheme,
             reactive_target=reactive_target,
         )
-        return compile_module(enhanced, toggling=self.toggling)
 
     # ------------------------------------------------------------------
     # Campaigns

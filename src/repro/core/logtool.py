@@ -2,8 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.compiler.frontend import compile_module
-from repro.lang.transform import enhance_logging
+from repro.compiler.frontend import build_program
 from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.runtime.process import run_program
@@ -51,15 +50,13 @@ class LogToolBase:
         #: optional Observability installed around run_plan (default:
         #: whatever bundle is current at run time)
         self.obs = obs
-        module = workload.build_module()
-        enhanced = enhance_logging(
-            module,
+        self.program = build_program(
+            workload, toggling,
             log_functions=workload.log_functions,
             rings=(self.ring,),
             lcr_selector=lcr_selector,
             register_segv_handler=register_segv_handler,
         )
-        self.program = compile_module(enhanced, toggling=toggling)
         self.machine_config = MachineConfig(
             num_cores=workload.num_cores,
             lbr_capacity=ring_capacity,
@@ -121,4 +118,4 @@ class LogToolBase:
 
 def build_plain_program(workload, toggling=False):
     """Compile the workload *without* log enhancement (overhead baseline)."""
-    return compile_module(workload.build_module(), toggling=toggling)
+    return build_program(workload, toggling)

@@ -12,8 +12,7 @@ does not.
 
 from dataclasses import dataclass
 
-from repro.compiler.frontend import compile_module
-from repro.lang.transform import enhance_logging
+from repro.compiler.frontend import build_program
 from repro.machine.cpu import MachineConfig
 from repro.runtime.process import execute_plan
 
@@ -75,18 +74,6 @@ class OverheadReport:
         )
 
 
-def _build(workload, rings, toggling, success_scheme="none",
-           reactive_target=None):
-    module = enhance_logging(
-        workload.build_module(),
-        log_functions=workload.log_functions,
-        rings=rings,
-        success_scheme=success_scheme,
-        reactive_target=reactive_target,
-    )
-    return compile_module(module, toggling=toggling)
-
-
 def measure_workload_overheads(workload, ring="lbr", runs=DEFAULT_RUNS,
                                reactive_target=None, executor=None):
     """Measure the Table 6 overhead columns for one workload.
@@ -95,27 +82,26 @@ def measure_workload_overheads(workload, ring="lbr", runs=DEFAULT_RUNS,
     adds the reactive success site; without one, the reactive build
     equals the plain LBRLOG build, which is a lower bound.
     """
-    plain = compile_module(workload.build_module(), toggling=False)
-    baseline = measure_cost(plain, workload, runs, executor=executor)
+    baseline = measure_cost(build_program(workload), workload, runs,
+                            executor=executor)
 
-    def overhead(program):
+    def overhead(toggling, **enhance):
+        program = build_program(workload, toggling,
+                                log_functions=workload.log_functions,
+                                rings=(ring,), **enhance)
         return measure_cost(program, workload, runs,
                             executor=executor) / baseline - 1.0
 
-    rings = (ring,)
     return OverheadReport(
         baseline_cost=baseline,
-        lbrlog_toggling=overhead(_build(workload, rings, toggling=True)),
-        lbrlog_no_toggling=overhead(_build(workload, rings,
-                                           toggling=False)),
-        lbra_reactive=overhead(_build(
-            workload, rings, toggling=True,
+        lbrlog_toggling=overhead(True),
+        lbrlog_no_toggling=overhead(False),
+        lbra_reactive=overhead(
+            True,
             success_scheme="reactive" if reactive_target else "none",
             reactive_target=reactive_target,
-        )),
-        lbra_proactive=overhead(_build(
-            workload, rings, toggling=True, success_scheme="proactive",
-        )),
+        ),
+        lbra_proactive=overhead(True, success_scheme="proactive"),
     )
 
 

@@ -101,6 +101,17 @@ class Program:
         self._index_by_address = {}
         self._assign_addresses()
 
+    #: Caches higher layers attach to a program that are only valid in
+    #: the process that made them: the threaded backend's closure table
+    #: (which cannot be pickled) and the executor's pickled blob.
+    _PROCESS_LOCAL = ("_threaded_code", "_pickle_blob")
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        for name in self._PROCESS_LOCAL:
+            state.pop(name, None)
+        return state
+
     def _assign_addresses(self):
         address = CODE_BASE
         for index, instr in enumerate(self.instructions):

@@ -7,10 +7,11 @@ Two backends exist:
 * ``reference`` — the original interpreter loop: one scheduler pick, one
   :meth:`Machine.step`, one watchdog check per instruction.  It is the
   semantic ground truth; nothing here may ever change its behaviour.
-* ``threaded`` — a threaded-code fast path: the program's instructions
-  are pre-compiled once per :class:`~repro.isa.program.Program` into
-  specialized per-opcode Python closures with operands, fall-through
-  addresses, branch targets, and LBR filter masks bound at compile time.
+* ``threaded`` — a threaded-code fast path: each instruction is
+  compiled on the first execution of its address, and cached on the
+  :class:`~repro.isa.program.Program`, into a specialized per-opcode
+  Python closure with operands, fall-through address, branch target,
+  and LBR filter mask bound at compile time.
   Execution proceeds in *slices* — runs of consecutive instructions on
   one thread, bounded by the scheduler's quantum lease, the step budget,
   and the profiling-hook boundary — and LBR/LCR ring writes are deferred
@@ -814,20 +815,29 @@ def _compile_instruction(instr, program):
 
 
 def compiled_table(program):
-    """Return (building once) the pc -> closure table for *program*.
+    """Return the pc -> closure table for *program*, initially empty.
 
+    :func:`_run_slice` fills it as addresses are first reached, so code
+    a campaign never executes (most of the stdlib) is never compiled.
     The table is cached on the program instance: programs are immutable
     after construction while machines are created fresh per run, so
     caching per program amortizes compilation across a whole campaign.
+    It is process-local: ``Program.__getstate__`` leaves it out.
     """
     table = program.__dict__.get("_threaded_code")
     if table is None:
-        table = {
-            instr.address: _compile_instruction(instr, program)
-            for instr in program.instructions
-        }
-        program.__dict__["_threaded_code"] = table
+        table = program.__dict__["_threaded_code"] = {}
     return table
+
+
+def _compile_at(program, table, pc):
+    """Compile the instruction at *pc* into *table*; ``None`` outside code."""
+    index = program._index_by_address.get(pc)
+    if index is None:
+        return None
+    op = table[pc] = _compile_instruction(program.instructions[index],
+                                          program)
+    return op
 
 
 # ----------------------------------------------------------------------
@@ -849,12 +859,14 @@ def _run_slice(machine, thread, table, cap):
     while executed < cap:
         op = table_get(thread.pc)
         if op is None:
-            machine._deliver_fault(thread, FaultInfo(
-                kind=FaultKind.ILLEGAL_INSTRUCTION, pc=thread.pc,
-                thread_id=thread.tid, message="pc outside code",
-            ))
-            executed += 1
-            break
+            op = _compile_at(machine.program, table, thread.pc)
+            if op is None:
+                machine._deliver_fault(thread, FaultInfo(
+                    kind=FaultKind.ILLEGAL_INSTRUCTION, pc=thread.pc,
+                    thread_id=thread.tid, message="pc outside code",
+                ))
+                executed += 1
+                break
         try:
             code = op(machine, thread)
         except MachineFault as exc:

@@ -52,7 +52,12 @@ class Workload:
     language = "c"
 
     def build_module(self):
-        """Parse and return the application's (untransformed) AST."""
+        """Parse and return the application's (untransformed) AST.
+
+        The module is a function of :attr:`source` and :attr:`name`
+        alone: :func:`~repro.compiler.frontend.build_program` keys the
+        programs it shares between tools on exactly those two.
+        """
         return parse(self.source, source_name=self.name + ".c")
 
     # -- run plans ------------------------------------------------------

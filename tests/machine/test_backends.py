@@ -341,6 +341,31 @@ def test_compiled_program_freed_by_refcount():
             gc.enable()
 
 
+def test_threaded_code_compiled_on_first_reach():
+    """The threaded backend compiles exactly the addresses it executes:
+    after a run, the table holds the pcs the reference loop stepped
+    through and no others, far fewer than the program has."""
+    bug = get_bug("paste")
+    program = compile_module(bug.build_module())
+    assert compiled_table(program) == {}
+    plan = bug.failing_run_plan(0)
+    _fingerprint(program, plan, "threaded", bug.num_cores)
+    stepped = set()
+
+    def attach(machine):
+        step = machine.step
+
+        def recording_step(thread):
+            stepped.add(thread.pc)
+            step(thread)
+        machine.step = recording_step
+    _fingerprint(program, plan, "reference", bug.num_cores, attach)
+    table = compiled_table(program)
+    assert set(table) == {pc for pc in stepped
+                          if program.has_instruction(pc)}
+    assert 0 < len(table) < len(program.instructions) // 2
+
+
 # ----------------------------------------------------------------------
 # Chaos spot check
 # ----------------------------------------------------------------------

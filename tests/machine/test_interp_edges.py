@@ -4,8 +4,9 @@ import pytest
 
 from repro.isa.asm import Assembler
 from repro.isa.instructions import BinaryOperator, Opcode
-from repro.isa.layout import MAX_THREADS
-from repro.machine.cpu import Machine
+from repro.isa.layout import CODE_BASE, MAX_THREADS
+from repro.machine.backends import BACKEND_NAMES
+from repro.machine.cpu import Machine, MachineConfig
 from repro.machine.faults import FaultKind
 
 
@@ -193,3 +194,24 @@ def test_pc_escape_faults():
         a.op(Opcode.NOP)     # falls off the end of the code region
     _machine, status = build_and_run(body)
     assert status.fault.kind is FaultKind.ILLEGAL_INSTRUCTION
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_jump_outside_code_faults(backend):
+    """A branch out of the code region faults at its target, on every
+    backend (the threaded one compiles addresses on first reach and
+    must still refuse one that holds no instruction)."""
+    outside = CODE_BASE - 0x100
+    assembler = Assembler()
+    assembler.function("main")
+    assembler.op(Opcode.LI, rd=1, imm=7)
+    assembler.op(Opcode.JMP, target=outside)
+    assembler.op(Opcode.HALT, imm=0)
+    machine = Machine(assembler.link(),
+                      config=MachineConfig(backend=backend))
+    machine.load()
+    status = machine.run()
+    assert status.fault.kind is FaultKind.ILLEGAL_INSTRUCTION
+    assert status.fault.pc == outside
+    assert status.fault.message == "pc outside code"
+    assert status.retired == 2
