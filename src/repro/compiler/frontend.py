@@ -71,6 +71,10 @@ _ENHANCE_DEFAULTS = {
     if parameter.default is not inspect.Parameter.empty
 }
 
+#: collection-valued options, keyed the way ``enhance_logging`` reads
+#: them, so any iterable it accepts (a list included) makes a key
+_COLLECTION_OPTIONS = {"log_functions": frozenset, "rings": tuple}
+
 
 def build_program(workload, toggling=False, **enhance):
     """Return *workload*'s program, compiled with *toggling*.
@@ -80,8 +84,11 @@ def build_program(workload, toggling=False, **enhance):
     compiled plain.  The result is memoized on ``(workload.source,
     workload.name, toggling, options)``, with the options resolved
     against ``enhance_logging``'s defaults, so spelling an option at its
-    default value shares an entry with leaving it out.  The memo holds
-    the four most recently used programs (``_MEMO_CAPACITY``).
+    default value shares an entry with leaving it out.
+    ``log_functions`` and ``rings`` are keyed as the set and tuple the
+    transform reads them as, so a list spelling shares the entry of a
+    tuple one.  The memo holds the four most recently used programs
+    (``_MEMO_CAPACITY``).
 
     Callers share the returned program: it must not be mutated.
     """
@@ -89,7 +96,10 @@ def build_program(workload, toggling=False, **enhance):
     if enhance:
         # An unknown option never reaches the memo: enhance_logging
         # rejects it on the miss.
-        options = tuple(sorted({**_ENHANCE_DEFAULTS, **enhance}.items()))
+        options = {**_ENHANCE_DEFAULTS, **enhance}
+        for name, normalize in _COLLECTION_OPTIONS.items():
+            options[name] = normalize(options[name])
+        options = tuple(sorted(options.items()))
     key = (workload.source, workload.name, toggling, options)
     program = _built.get(key)
     if program is not None:

@@ -114,8 +114,3 @@ class LogToolBase:
                          event=profile.events[index])
             for index in range(len(profile.events))
         ]
-
-
-def build_plain_program(workload, toggling=False):
-    """Compile the workload *without* log enhancement (overhead baseline)."""
-    return build_program(workload, toggling)

@@ -99,18 +99,14 @@ class Program:
         #: enhancement transformer records its failure-logging sites here).
         self.metadata = {}
         self._index_by_address = {}
+        #: Caches higher layers keep on the program that are valid only
+        #: in this process (e.g. the threaded backend's closure table,
+        #: which cannot be pickled).  Pickles and copies start it empty.
+        self._process_local = {}
         self._assign_addresses()
 
-    #: Caches higher layers attach to a program that are only valid in
-    #: the process that made them: the threaded backend's closure table
-    #: (which cannot be pickled) and the executor's pickled blob.
-    _PROCESS_LOCAL = ("_threaded_code", "_pickle_blob")
-
     def __getstate__(self):
-        state = dict(self.__dict__)
-        for name in self._PROCESS_LOCAL:
-            state.pop(name, None)
-        return state
+        return {**self.__dict__, "_process_local": {}}
 
     def _assign_addresses(self):
         address = CODE_BASE

@@ -822,12 +822,9 @@ def compiled_table(program):
     The table is cached on the program instance: programs are immutable
     after construction while machines are created fresh per run, so
     caching per program amortizes compilation across a whole campaign.
-    It is process-local: ``Program.__getstate__`` leaves it out.
+    It is process-local: pickling the program leaves it out.
     """
-    table = program.__dict__.get("_threaded_code")
-    if table is None:
-        table = program.__dict__["_threaded_code"] = {}
-    return table
+    return program._process_local.setdefault("threaded_code", {})
 
 
 def _compile_at(program, table, pc):

@@ -831,15 +831,15 @@ class CampaignExecutor:
     # -- task construction ---------------------------------------------
 
     @staticmethod
-    def _pickle_blob(obj, memo_holder=None, attr=None):
-        """Pickle *obj*, memoizing the blob on *memo_holder* when given."""
-        if memo_holder is not None:
-            blob = memo_holder.__dict__.get(attr)
+    def _pickle_blob(obj, memo=None, key=None):
+        """Pickle *obj*, memoizing the blob in the dict *memo* when given."""
+        if memo is not None:
+            blob = memo.get(key)
             if blob is not None:
                 return blob
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if memo_holder is not None:
-            memo_holder.__dict__[attr] = blob
+        if memo is not None:
+            memo[key] = blob
         return blob
 
     def _note_unpicklable(self, stage, exc, note):
@@ -867,10 +867,10 @@ class CampaignExecutor:
             try:
                 program_fp = fingerprint_program(program)
                 program_blob = self._pickle_blob(
-                    program, memo_holder=program, attr="_pickle_blob"
+                    program, memo=program._process_local, key="pickle_blob"
                 )
                 config_blob = self._pickle_blob(
-                    config, memo_holder=config, attr="_pickle_blob"
+                    config, memo=config.__dict__, key="_pickle_blob"
                 )
                 batch_item = pickle.dumps(
                     plan, protocol=pickle.HIGHEST_PROTOCOL
@@ -940,8 +940,8 @@ class CampaignExecutor:
         if self.jobs > 1:
             try:
                 tool_blob = self._pickle_blob(
-                    tool._clone_spec(), memo_holder=tool,
-                    attr="_clone_blob",
+                    tool._clone_spec(), memo=tool.__dict__,
+                    key="_clone_blob",
                 )
                 plan_blob = pickle.dumps(
                     plan, protocol=pickle.HIGHEST_PROTOCOL

@@ -125,6 +125,16 @@ def test_explicit_defaults_share_the_entry(compile_calls):
     assert len(compile_calls) == 1
 
 
+def test_list_valued_options_share_the_tuple_entry(compile_calls):
+    """Lists are accepted, as by enhance_logging, and key like tuples."""
+    as_tuples = build_program(Tiny(), True, rings=("lbr",),
+                              log_functions=("error", "print"))
+    as_lists = build_program(Tiny(), True, rings=["lbr"],
+                             log_functions=["print", "error"])
+    assert as_lists is as_tuples
+    assert len(compile_calls) == 1
+
+
 def test_unknown_option_rejected():
     with pytest.raises(TypeError):
         build_program(Tiny(), False, ring="lbr")

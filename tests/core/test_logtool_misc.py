@@ -1,7 +1,7 @@
 """Miscellaneous tests for the log-tool layer."""
 
 from repro.bugs.registry import get_bug
-from repro.core.logtool import build_plain_program
+from repro.compiler.frontend import build_program
 from repro.core.lbrlog import LbrLogTool
 from repro.core.lcrlog import (
     CONF1_SPACE_SAVING,
@@ -14,14 +14,14 @@ from repro.runtime.process import run_program
 
 def test_plain_program_has_no_monitoring_ops():
     bug = get_bug("sort")
-    program = build_plain_program(bug)
+    program = build_program(bug)
     hwops = [i for i in program.instructions if i.opcode is Opcode.HWOP]
     assert hwops == []
 
 
 def test_plain_program_with_toggling_has_only_toggles():
     bug = get_bug("sort")
-    program = build_plain_program(bug, toggling=True)
+    program = build_program(bug, toggling=True)
     ops = {i.hwop for i in program.instructions
            if i.opcode is Opcode.HWOP}
     assert ops <= {HwOp.LBR_DISABLE, HwOp.LBR_ENABLE,
@@ -31,7 +31,7 @@ def test_plain_program_with_toggling_has_only_toggles():
 
 def test_plain_program_still_fails():
     bug = get_bug("sort")
-    program = build_plain_program(bug)
+    program = build_program(bug)
     status = run_program(program, args=bug.failing_args)
     assert bug.is_failure(status)
     # ... but collects no profiles (no instrumentation, no handler).

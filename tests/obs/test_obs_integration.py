@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.bugs.registry import get_bug
+from repro.compiler.frontend import build_program
 from repro.core.lbra import LbraTool
-from repro.core.logtool import build_plain_program
 from repro.machine.cpu import Machine, MachineConfig
 from repro.obs import NULL_OBS, Observability, get_obs, use
 from repro.obs.report import render_report, tree_shape
@@ -42,7 +42,7 @@ def test_use_installs_and_restores():
 def test_machine_harvest_records_hardware_counts():
     bug = get_bug("sort")
     plan = bug.failing_run_plan(0)
-    program = build_plain_program(bug)
+    program = build_program(bug)
     with use(Observability()) as obs:
         machine = Machine(program,
                           config=MachineConfig(num_cores=bug.num_cores),
@@ -62,7 +62,7 @@ def test_machine_harvest_records_hardware_counts():
 def test_profile_hook_drives_sampled_profiler():
     bug = get_bug("sort")
     plan = bug.failing_run_plan(0)
-    program = build_plain_program(bug)
+    program = build_program(bug)
     machine = Machine(program,
                       config=MachineConfig(num_cores=bug.num_cores),
                       scheduler=plan.make_scheduler())

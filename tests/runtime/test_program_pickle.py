@@ -24,12 +24,12 @@ def test_program_pickles_after_threaded_run(bug_name):
     plan = bug.failing_run_plan(0)
     original = _fingerprint(program, plan, "threaded", bug.num_cores)
     assert compiled_table(program)
-    program.__dict__["_pickle_blob"] = b"process-local"
+    program._process_local["pickle_blob"] = b"process-local"
 
     copy = pickle.loads(pickle.dumps(program))
 
-    assert "_threaded_code" not in vars(copy)
-    assert "_pickle_blob" not in vars(copy)
+    assert copy._process_local == {}
+    assert "threaded_code" in program._process_local
     assert compiled_table(program), "pickling cleared the original"
     for backend in BACKEND_NAMES:
         assert _fingerprint(copy, plan, backend, bug.num_cores) \
