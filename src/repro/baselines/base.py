@@ -5,15 +5,12 @@ from dataclasses import dataclass, field
 
 from repro.baselines.scoring import liblit_rank, rank_of_line
 from repro.compiler.frontend import build_program
-from repro.core.api import (
-    confidence_summary,
-    deprecated_alias,
-    validate_options,
-)
+from repro.core.api import confidence_summary, validate_options
 from repro.machine.cpu import Machine, MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
-from repro.runtime import checkpoint as _checkpoint
+from repro.runtime.harness import BaselineRuns, CampaignStream
+from repro.runtime.process import _apply_globals
 
 
 @dataclass
@@ -140,38 +137,36 @@ class BaselineToolBase:
             machine = Machine(self.program, config=self.machine_config,
                               scheduler=plan.make_scheduler())
             machine.load(args=plan.args)
-            for name, value in plan.globals_setup.items():
-                if isinstance(value, (list, tuple)):
-                    for index, word in enumerate(value):
-                        machine.set_global(name, word, index=index)
-                else:
-                    machine.set_global(name, value)
+            _apply_globals(machine, plan.globals_setup)
             finish = self.attach(machine, run_seed)
             status = machine.run(max_steps=plan.max_steps)
             span.set(retired=status.retired, outcome=status.describe(),
                      backend=machine.config.backend)
+        # CBI-adaptive locates the failure from the latest run's status.
+        self._last_status = status
         self.retired_total += status.retired
         failed = self.workload.is_failure(status)
         return failed, finish(failed)
 
-    def _absorb(self, result):
-        """Apply one consumed run's counter/predicate deltas."""
-        self.events_observed += result.events_observed
-        self.samples_taken += result.samples_taken
-        self.retired_total += result.retired
+    def _absorb(self, delta):
+        """Apply one consumed run's counter/predicate delta."""
+        self.events_observed += delta["events"]
+        self.samples_taken += delta["samples"]
+        self.retired_total += delta["retired"]
         predicates = getattr(self, "_predicates", None)
         if predicates is not None:
-            for key, value in result.new_predicates.items():
+            for key, value in delta["predicates"].items():
                 predicates.setdefault(key, value)
 
     def run_diagnosis(self, n_failures=1000, n_successes=1000,
                       max_attempts=None):
         """Collect runs until the outcome quotas are met, then rank.
 
-        The modern entry point (:meth:`diagnose` is its deprecated
-        alias).  With an executor attached, attempts fan out across its
-        worker pool (and replay from its run cache) but are consumed
-        strictly in attempt order, so counts, observations, and the
+        The campaign runs on :class:`~repro.runtime.harness.CampaignStream`:
+        with an executor attached, attempts fan out across its worker
+        pool (and replay from its run cache) but are consumed strictly
+        in attempt order, and with a checkpoint session active they
+        journal and resume; either way counts, observations, and the
         predicate registry are bit-identical to the sequential path.
         The finished diagnosis is recorded in the current run ledger
         (:mod:`repro.obs.ledger`; a no-op unless one is installed).
@@ -198,92 +193,48 @@ class BaselineToolBase:
         )
         return diagnosis
 
-    def diagnose(self, n_failures=1000, n_successes=1000,
-                 max_attempts=None):
-        """Deprecated alias of :meth:`run_diagnosis`."""
-        deprecated_alias("%s.diagnose()" % type(self).__name__,
-                         "run_diagnosis()")
-        return self.run_diagnosis(n_failures, n_successes, max_attempts)
-
     def _run_diagnosis(self, obs, n_failures, n_successes, max_attempts):
+        # Both phases share one attempt cap; the passing phase continues
+        # the plan numbering where the failing phase stopped.
         cap = max_attempts if max_attempts is not None else \
             (n_failures + n_successes) * 5 + 100
-        budget = _checkpoint.get_budget()
-        supervisor = _checkpoint.get_supervisor()
+        unit = BaselineRuns(self)
         observations = []
-        failures = 0
-        successes = 0
-        attempt = 0
-        stopped = {"reason": None}
+        counts = {True: 0, False: 0}
+        stop_reason = None
 
-        def within_budget():
-            # Checked before each fresh execution: a deadline/run-budget
-            # stop ends the campaign cleanly with a partial result.
-            reason = budget.exhausted()
-            if reason is not None:
-                stopped["reason"] = reason
-                return False
-            return True
+        def absorb(_n, failed, delta):
+            self._absorb(delta)
+            observations.append(delta["observation"])
+            counts[failed] += 1
 
-        def consume(plan_of, quota_open):
-            nonlocal failures, successes, attempt
-
-            def record(failed):
-                nonlocal failures, successes, attempt
-                if failed:
-                    failures += 1
-                    obs.counter("campaign.runs_failed").inc()
-                else:
-                    successes += 1
-                    obs.counter("campaign.runs_succeeded").inc()
-                attempt += 1
-                budget.charge()
-                supervisor.beat("campaign")
-
-            if self.executor is None:
-                while quota_open() and attempt < cap and within_budget():
-                    plan = plan_of(attempt + self.seed)
-                    failed, observation = self._run_once(
-                        plan, attempt + self.seed
-                    )
-                    observations.append(observation)
-                    record(failed)
-                return
-
-            def plan_seeds():
-                k = attempt
-                while True:
-                    yield plan_of(k + self.seed), k + self.seed
-                    k += 1
-
-            runs = self.executor.iter_baseline_runs(self, plan_seeds())
-            try:
-                while quota_open() and attempt < cap and within_budget():
-                    _seed, result = next(runs)
-                    self._absorb(result)
-                    observations.append(result.observation)
-                    record(result.failed)
-            finally:
-                runs.close()
-
-        with obs.span("collect.failures", want=n_failures):
-            consume(self.workload.failing_run_plan,
-                    lambda: failures < n_failures)
-        with obs.span("collect.successes", want=n_successes):
-            consume(self.workload.passing_run_plan,
-                    lambda: successes < n_successes)
+        phases = (
+            ("failing", "collect.failures", True, n_failures,
+             self.workload.failing_run_plan),
+            ("passing", "collect.successes", False, n_successes,
+             self.workload.passing_run_plan),
+        )
+        for phase, span, failed, want, plan_fn in phases:
+            stream = CampaignStream(
+                unit, plan_fn, "%s.%s" % (self.tool_name.lower(), phase),
+                start=self.seed + len(observations), executor=self.executor)
+            with obs.span(span, want=want):
+                stop_reason = stream.consume(
+                    absorb, until=lambda: counts[failed] >= want,
+                    limit=cap - len(observations),
+                ) or stop_reason
         with obs.span("rank"):
             ranked = liblit_rank(observations, self.predicate_info())
         return BaselineDiagnosis(
             ranked=ranked,
-            n_failures=failures,
-            n_successes=successes,
+            n_failures=counts[True],
+            n_successes=counts[False],
             tool=self.tool_name,
             events_observed=self.events_observed,
             samples_taken=self.samples_taken,
             retired_total=self.retired_total,
-            partial=stopped["reason"] is not None,
-            stop_reason=stopped["reason"],
+            partial=stop_reason is not None,
+            stop_reason=stop_reason,
             n_failures_requested=n_failures,
             n_successes_requested=n_successes,
         )

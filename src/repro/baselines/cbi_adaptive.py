@@ -169,26 +169,6 @@ class CbiAdaptiveTool(BaselineToolBase):
 
         return finish
 
-    def _run_once(self, plan, run_seed):
-        # Keep the last status for _failure_function.
-        from repro.machine.cpu import Machine
-        from repro.obs import get_obs
-
-        with get_obs().span("interp.run") as span:
-            machine = Machine(self.program, config=self.machine_config,
-                              scheduler=plan.make_scheduler())
-            machine.load(args=plan.args)
-            for name, value in plan.globals_setup.items():
-                machine.set_global(name, value)
-            finish = self.attach(machine, run_seed)
-            status = machine.run(max_steps=plan.max_steps)
-            span.set(retired=status.retired, outcome=status.describe(),
-                     backend=machine.config.backend)
-        self._last_status = status
-        self.retired_total += status.retired
-        failed = self.workload.is_failure(status)
-        return failed, finish(failed)
-
     def predicate_info(self):
         info = {}
         for function, sites in self._sites_by_function.items():
@@ -225,13 +205,6 @@ class CbiAdaptiveTool(BaselineToolBase):
         with use(obs), obs.span("diagnose.cbi-adaptive",
                                 workload=self.workload.name):
             return self._run_adaptive(obs, max_iterations)
-
-    def diagnose(self, max_iterations=50):
-        """Deprecated alias of :meth:`run_diagnosis`."""
-        from repro.core.api import deprecated_alias
-
-        deprecated_alias("CbiAdaptiveTool.diagnose()", "run_diagnosis()")
-        return self.run_diagnosis(max_iterations)
 
     def _run_adaptive(self, obs, max_iterations):
         total_sites = sum(len(s) for s in

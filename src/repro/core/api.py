@@ -38,16 +38,13 @@ own constructor signature and result type.  This module unifies them:
       # get_tool("pecker"), available_tools(), `repro diagnose --tool`
       # choices, and fleet triage dispatch now all see it.
 
-The underlying tool classes keep working directly — their modern entry
-point is ``run_diagnosis()``; the old ``diagnose()`` methods remain as
-thin aliases that emit :class:`DeprecationWarning` (the adapter's own
-``diagnose()`` is such an alias too).
+The underlying tool classes keep working directly; their entry point
+is ``run_diagnosis()`` too.
 """
 
 import importlib
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 
 
@@ -276,13 +273,6 @@ class DiagnosisTool:
         elapsed = time.perf_counter() - started
         return self._report(raw, elapsed)
 
-    def diagnose(self, n_failures=None, n_successes=None,
-                 max_attempts=None):
-        """Deprecated alias of :meth:`run_diagnosis`."""
-        deprecated_alias("%s.diagnose()" % type(self).__name__,
-                         "run_diagnosis()")
-        return self.run_diagnosis(n_failures, n_successes, max_attempts)
-
     def _report(self, raw, elapsed):
         runs_used = {
             "failures": getattr(raw, "n_failure_profiles",
@@ -442,14 +432,6 @@ for _builtin in (LbraDiagnosisTool, LcraDiagnosisTool, CbiDiagnosisTool,
 del _builtin
 
 
-def deprecated_alias(old, new):
-    """Emit the standard rename :class:`DeprecationWarning`."""
-    warnings.warn(
-        "%s is deprecated; use %s instead" % (old, new),
-        DeprecationWarning, stacklevel=3,
-    )
-
-
 __all__ = [
     "CbiDiagnosisTool",
     "CciDiagnosisTool",
@@ -460,7 +442,6 @@ __all__ = [
     "PbiDiagnosisTool",
     "available_tools",
     "confidence_summary",
-    "deprecated_alias",
     "get_log_tool",
     "get_tool",
     "register_tool",

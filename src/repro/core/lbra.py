@@ -15,7 +15,6 @@ precision and recall.  Both success-profiling schemes are implemented:
 """
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.compiler.frontend import build_program
@@ -26,13 +25,8 @@ from repro.lang.transform import ReactiveTarget
 from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
-from repro.runtime import checkpoint as _checkpoint
-from repro.runtime.process import run_program
-from repro.core.api import (
-    confidence_summary,
-    deprecated_alias,
-    validate_options,
-)
+from repro.runtime.harness import CampaignStream, PlainRuns
+from repro.core.api import confidence_summary, validate_options
 from repro.core.profiles import (
     SUCCESS_SITE_KINDS,
     dominant_failure_site,
@@ -218,116 +212,39 @@ class DiagnosisToolBase:
     # Campaigns
     # ------------------------------------------------------------------
 
-    def _run(self, program, plan):
-        if self.executor is not None:
-            return self.executor.run_one(
-                program, plan, self.machine_config
-            ).status
-        return run_program(
-            program,
-            args=plan.args,
-            scheduler=plan.make_scheduler(),
-            config=self.machine_config,
-            max_steps=plan.max_steps,
-            globals_setup=plan.globals_setup,
-        )
+    def _consume(self, program, phase, absorb, until, limit):
+        """Run one campaign phase on *program*; return the runs consumed.
 
-    def _stream_statuses(self, program, plan_fn, stream):
-        """Yield ``plan_fn(seed), plan_fn(seed+1), ...`` statuses lazily.
-
-        The executor path speculates ahead on its pool but still yields
-        in order, so consumers' stopping logic is execution-agnostic.
-
-        When a checkpoint session is active (see
-        :mod:`repro.runtime.checkpoint`), the stream journals each
-        consumed status under a fingerprint of everything outcomes
-        depend on, and replays journaled records for free on resume —
-        the plan stream is deterministic, so record k *is* the outcome
-        of ``plan_fn(k)``.  The active campaign budget is charged per
-        fresh execution only; on exhaustion the stream ends early with
-        the reason left in ``self._budget_stop``.
+        *phase* is ``"failing"`` or ``"passing"``.  Each phase numbers
+        its plans from ``seed`` and has its own attempt *limit*; the
+        :class:`~repro.runtime.harness.CampaignStream` feeds
+        ``absorb(n, failed, status)`` until ``until()`` holds.  A budget
+        stop is left in ``self._budget_stop``.
         """
-        session = _checkpoint.get_session()
-        budget = _checkpoint.get_budget()
-        supervisor = _checkpoint.get_supervisor()
-        journal = None
-        cursor = self.seed
-        if session is not None:
-            from repro.runtime.executor import fingerprint_program
-            journal = session.journal(
-                "%s.%s" % (self.tool_name, stream),
-                _checkpoint.stream_fingerprint(
-                    self.tool_name, stream, fingerprint_program(program),
-                    repr(self.machine_config),
-                    _checkpoint.workload_token(self.workload),
-                    self.seed,
-                ),
-            )
-        try:
-            if journal is not None:
-                for rec in journal.replay():
-                    cursor = rec["k"] + 1
-                    supervisor.beat("campaign")
-                    yield rec["status"]
-
-            def fresh():
-                if self.executor is None:
-                    for k in _counter(cursor):
-                        yield k, self._run(program, plan_fn(k))
-                else:
-                    plans = (plan_fn(k) for k in _counter(cursor))
-                    for k, (_plan, result) in enumerate(
-                            self.executor.iter_runs(
-                                program, plans, self.machine_config),
-                            start=cursor):
-                        yield k, result.status
-
-            source = fresh()
-            try:
-                while True:
-                    reason = budget.exhausted()
-                    if reason is not None:
-                        self._budget_stop = reason
-                        return
-                    item = next(source, None)
-                    if item is None:
-                        return
-                    k, status = item
-                    budget.charge()
-                    if journal is not None:
-                        journal.append(
-                            k, self.workload.is_failure(status), status)
-                    supervisor.beat("campaign")
-                    yield status
-            finally:
-                source.close()
-        finally:
-            if journal is not None:
-                journal.close()
+        stream = CampaignStream(
+            PlainRuns(program, self.workload, self.machine_config),
+            getattr(self.workload, phase + "_run_plan"),
+            "%s.%s" % (self.tool_name, phase),
+            start=self.seed, executor=self.executor,
+        )
+        self._budget_stop = stream.consume(
+            absorb, until=until, limit=limit) or self._budget_stop
+        return stream.consumed
 
     def _collect_failures(self, program, n_failures, max_attempts):
         statuses = []
-        k = 0
-        obs = get_obs()
-        runs = self._stream_statuses(
-            program, self.workload.failing_run_plan, "failing")
-        try:
-            while len(statuses) < n_failures and k < max_attempts:
-                status = next(runs, None)
-                if status is None:
-                    break
-                if self.workload.is_failure(status):
-                    statuses.append(status)
-                    obs.counter("campaign.runs_failed").inc()
-                else:
-                    obs.counter("campaign.runs_succeeded").inc()
-                k += 1
-        finally:
-            runs.close()
+
+        def absorb(_n, failed, status):
+            if failed:
+                statuses.append(status)
+
+        attempts = self._consume(program, "failing", absorb,
+                                 lambda: len(statuses) >= n_failures,
+                                 max_attempts)
         if len(statuses) < n_failures and self._budget_stop is None:
             raise DiagnosisError(
                 "only %d/%d failure runs manifested in %d attempts"
-                % (len(statuses), n_failures, k)
+                % (len(statuses), n_failures, attempts)
             )
         return statuses
 
@@ -335,31 +252,22 @@ class DiagnosisToolBase:
                                   n_successes, max_attempts):
         profiles = []
         statuses = []
-        k = 0
-        obs = get_obs()
-        runs = self._stream_statuses(
-            program, self.workload.passing_run_plan, "passing")
-        try:
-            while len(profiles) < n_successes and k < max_attempts:
-                status = next(runs, None)
-                if status is None:
-                    break
-                k += 1
-                if self.workload.is_failure(status):
-                    obs.counter("campaign.runs_failed").inc()
-                    continue
-                obs.counter("campaign.runs_succeeded").inc()
-                profile = extract_profile(
-                    program, status, self.ring,
-                    site_kinds=SUCCESS_SITE_KINDS,
-                    site_ids=success_site_ids,
-                    outcome="success", run_index=k,
-                )
-                if profile is not None:
-                    profiles.append(profile)
-                    statuses.append(status)
-        finally:
-            runs.close()
+
+        def absorb(n, failed, status):
+            if failed:
+                return
+            profile = extract_profile(
+                program, status, self.ring,
+                site_kinds=SUCCESS_SITE_KINDS,
+                site_ids=success_site_ids,
+                outcome="success", run_index=n + 1,
+            )
+            if profile is not None:
+                profiles.append(profile)
+                statuses.append(status)
+
+        self._consume(program, "passing", absorb,
+                      lambda: len(profiles) >= n_successes, max_attempts)
         return profiles, statuses
 
     # ------------------------------------------------------------------
@@ -370,8 +278,7 @@ class DiagnosisToolBase:
                       max_attempts=None):
         """Run the full campaign and return a :class:`Diagnosis`.
 
-        The modern entry point (:meth:`diagnose` is its deprecated
-        alias).  Runs under this tool's ``obs`` when one was given, the
+        Runs under this tool's ``obs`` when one was given, the
         currently installed one otherwise, tagging the phases
         ``diagnose.<tool>`` → ``collect.failures`` / ``collect.successes``
         / ``rank``.  The finished diagnosis is recorded in the current
@@ -398,12 +305,6 @@ class DiagnosisToolBase:
             backend=self.machine_config.backend,
         )
         return diagnosis
-
-    def diagnose(self, n_failures=10, n_successes=10, max_attempts=None):
-        """Deprecated alias of :meth:`run_diagnosis`."""
-        deprecated_alias("%s.diagnose()" % type(self).__name__,
-                         "run_diagnosis()")
-        return self.run_diagnosis(n_failures, n_successes, max_attempts)
 
     def _run_diagnosis(self, obs, n_failures, n_successes, max_attempts):
         cap = max_attempts if max_attempts is not None else \
@@ -513,33 +414,28 @@ class DiagnosisToolBase:
         self._budget_stop = None
         by_site = {}
         statuses_by_site = {}
-        attempts = 0
-        runs = self._stream_statuses(
-            self.failure_program, self.workload.failing_run_plan,
-            "failing")
-        while attempts < cap:
-            status = next(runs, None)
-            if status is None:
-                break
-            attempts += 1
-            if not self.workload.is_failure(status):
-                continue
+        finished = []
+
+        def absorb(n, failed, status):
+            if not failed:
+                return
             profile = extract_profile(
-                self.failure_program, status, self.ring,
-                run_index=attempts,
+                self.failure_program, status, self.ring, run_index=n + 1,
             )
             if profile is None:
-                continue
+                return
             bucket = by_site.setdefault(profile.site_id, [])
             statuses_by_site.setdefault(profile.site_id, []) \
                 .append(status)
             if len(bucket) < n_failures_per_site:
                 bucket.append(profile)
-            if by_site and all(len(b) >= n_failures_per_site
-                               for b in by_site.values()) \
-                    and attempts >= 2 * n_failures_per_site:
-                break
-        runs.close()
+            if n + 1 >= 2 * n_failures_per_site \
+                    and all(len(b) >= n_failures_per_site
+                            for b in by_site.values()):
+                finished.append(n)
+
+        self._consume(self.failure_program, "failing", absorb,
+                      lambda: bool(finished), cap)
         diagnoses = {}
         for site_id, profiles in by_site.items():
             failure_site = site_by_id(self.failure_program, site_id)
@@ -627,13 +523,6 @@ class DiagnosisToolBase:
                 "no proactive success site pairs with %s" % (failure_site,)
             )
         return site_ids
-
-
-def _counter(start=0):
-    k = start
-    while True:
-        yield k
-        k += 1
 
 
 class LbraTool(DiagnosisToolBase):

@@ -4,8 +4,9 @@
 * :mod:`repro.runtime.workload` — the protocol connecting applications
   (the bug suite) to the diagnosis tools: how to build the program, how to
   drive failing and passing runs, and how to recognize a failure;
-* :mod:`repro.runtime.harness` — run campaigns (N failing + M passing
-  runs) and collect statuses/profiles;
+* :mod:`repro.runtime.harness` — the campaign engine
+  (:class:`~repro.runtime.harness.CampaignStream`) every tool's N
+  failing + M passing runs go through, and :func:`run_campaign`;
 * :mod:`repro.runtime.executor` — fan campaign attempts out across a
   process pool and memoize finished runs in a content-addressed cache;
 * :mod:`repro.runtime.resilience` — the fault-injection harness and the
@@ -15,77 +16,18 @@
   supervisor/watchdog, and deadline/run-budget graceful degradation.
 """
 
-from repro.runtime.process import PlanOutcome, execute_plan, run_program
+# The campaign API; everything else is imported from its submodule.
+from repro.runtime.process import run_program
 from repro.runtime.workload import RunPlan, Workload
-from repro.runtime.harness import (
-    CampaignResult,
-    CampaignShortfallError,
-    CampaignShortfallWarning,
-    RunRecord,
-    ShortfallInfo,
-    run_campaign,
-)
-from repro.runtime.executor import (
-    CampaignExecutor,
-    ExecutorStats,
-    RunCache,
-    build_executor,
-)
-from repro.runtime.resilience import (
-    FaultError,
-    FaultPlan,
-    FaultSpecError,
-    FileLock,
-    ResiliencePolicy,
-    ResilienceStats,
-    fault_point,
-    use_plan,
-)
-from repro.runtime.checkpoint import (
-    RESUMABLE_EXIT_CODE,
-    CampaignBudget,
-    CampaignInterrupted,
-    CampaignSupervisor,
-    CheckpointError,
-    CheckpointJournal,
-    CheckpointSession,
-    use_budget,
-    use_session,
-    use_supervisor,
-)
+from repro.runtime.harness import CampaignResult, CampaignStream, run_campaign
+from repro.runtime.executor import CampaignExecutor
 
 __all__ = [
-    "CampaignBudget",
     "CampaignExecutor",
-    "CampaignInterrupted",
     "CampaignResult",
-    "CampaignShortfallError",
-    "CampaignShortfallWarning",
-    "CampaignSupervisor",
-    "CheckpointError",
-    "CheckpointJournal",
-    "CheckpointSession",
-    "ExecutorStats",
-    "FaultError",
-    "FaultPlan",
-    "FaultSpecError",
-    "FileLock",
-    "PlanOutcome",
-    "RESUMABLE_EXIT_CODE",
-    "ResiliencePolicy",
-    "ResilienceStats",
-    "RunCache",
+    "CampaignStream",
     "RunPlan",
-    "RunRecord",
-    "ShortfallInfo",
     "Workload",
-    "build_executor",
-    "execute_plan",
-    "fault_point",
     "run_campaign",
     "run_program",
-    "use_budget",
-    "use_plan",
-    "use_session",
-    "use_supervisor",
 ]

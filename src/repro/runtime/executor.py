@@ -148,6 +148,26 @@ def fingerprint_workload(workload):
                  workload.failure_output))
 
 
+def fingerprint_tool(tool):
+    """Stable content hash of a baseline tool's run-relevant identity.
+
+    Covers the class, the workload, the clone keywords (seed, sampling
+    parameters) and the machine config — everything a run's delta
+    depends on besides its plan and run seed.  Cached on the tool.
+    """
+    cached = tool.__dict__.get("_content_fingerprint")
+    if cached is not None:
+        return cached
+    tool_class, workload, kwargs = tool._clone_spec()
+    fingerprint = hashlib.sha256(repr((
+        tool_class.__module__, tool_class.__qualname__,
+        fingerprint_workload(workload), sorted(kwargs.items()),
+        fingerprint_config(tool.machine_config),
+    )).encode()).hexdigest()
+    tool.__dict__["_content_fingerprint"] = fingerprint
+    return fingerprint
+
+
 def _run_key(program, plan, config):
     plan_fp = fingerprint_plan(plan)
     if plan_fp is None:
@@ -197,20 +217,16 @@ class RunResult:
 
 @dataclass
 class BaselineRunResult:
-    """One baseline-instrumented run: outcome plus counter deltas.
+    """One baseline-instrumented run: its delta plus execution metadata.
 
     The CBI-family tools accumulate instrumentation-cost counters and
-    discover predicate sites during runs; parallel execution returns
-    those as per-run *deltas* so the consuming tool can apply exactly
-    the contributions of the runs its campaign actually consumed.
+    discover predicate sites during runs; every run reports those as a
+    *delta* dict (see :func:`_baseline_execute`) so the consuming tool
+    applies exactly the contributions of the runs its campaign actually
+    consumed.
     """
 
-    failed: bool = False
-    observation: object = None     # RunObservation
-    events_observed: int = 0
-    samples_taken: int = 0
-    retired: int = 0
-    new_predicates: dict = field(default_factory=dict)
+    delta: dict = field(default_factory=dict)
     duration: float = 0.0
     worker_pid: int = None
     cached: bool = False
@@ -403,14 +419,15 @@ def _worker_run_plans(program_fp, program_blob, config_blob, collect_obs,
 
 
 def _baseline_execute(tool, plan, run_seed):
-    """Run one baseline attempt on *tool*; return value with deltas.
+    """Run one baseline attempt on *tool*; return its delta dict.
 
     Counter and predicate contributions are measured as before/after
-    deltas so speculative attempts executed on a long-lived worker tool
-    never leak into results of other attempts.  The predicate registry
-    (metadata written via ``setdefault``, never read during runs) is
-    rolled back afterwards, so every run reports the *full* predicate
-    set it observed regardless of what ran on this tool before — the
+    deltas and then rolled back, so an attempt leaves *tool* as it found
+    it: speculative attempts executed on a long-lived worker tool never
+    leak into results of other attempts, and an in-process attempt on
+    the consuming tool itself is applied exactly once, by its
+    ``_absorb``.  Every run therefore reports the *full* predicate set
+    it observed regardless of what ran on this tool before — the
     consumer's in-order ``setdefault`` merge then reproduces the
     sequential registry exactly, contents and insertion order both.
     """
@@ -426,7 +443,7 @@ def _baseline_execute(tool, plan, run_seed):
                           if key not in known}
         for key in new_predicates:
             del predicates[key]
-    return {
+    delta = {
         "failed": failed,
         "observation": observation,
         "events": tool.events_observed - events0,
@@ -434,6 +451,10 @@ def _baseline_execute(tool, plan, run_seed):
         "retired": tool.retired_total - retired0,
         "predicates": new_predicates,
     }
+    tool.events_observed = events0
+    tool.samples_taken = samples0
+    tool.retired_total = retired0
+    return delta
 
 
 def _worker_run_baselines(tool_fp, tool_blob, collect_obs, calls):
@@ -815,9 +836,10 @@ class CampaignExecutor:
         """Yield ``(run_seed, BaselineRunResult)`` for a baseline tool.
 
         *plan_seeds* is an iterable of ``(plan, run_seed)`` pairs, in
-        campaign order.  The passed *tool* is never mutated: fresh runs
-        execute on per-worker (or executor-local) reconstructions and
-        return counter/predicate deltas for the caller to apply.
+        campaign order.  The passed *tool* is left as it was: fresh
+        runs execute on per-worker reconstructions (or in-process on
+        *tool*, rolled back afterwards) and return counter/predicate
+        deltas for the caller to apply.
         """
         tasks = (self._baseline_task(tool, plan, run_seed)
                  for plan, run_seed in plan_seeds)
@@ -901,36 +923,8 @@ class CampaignExecutor:
                      batch_item=batch_item, inline_call=inline_call,
                      wrap=wrap, backend=config.backend)
 
-    def _baseline_fingerprint(self, tool):
-        cached = tool.__dict__.get("_content_fingerprint")
-        if cached is not None:
-            return cached
-        tool_class, workload, kwargs = tool._clone_spec()
-        fingerprint = hashlib.sha256(repr((
-            tool_class.__module__, tool_class.__qualname__,
-            fingerprint_workload(workload), sorted(kwargs.items()),
-            fingerprint_config(tool.machine_config),
-        )).encode()).hexdigest()
-        tool.__dict__["_content_fingerprint"] = fingerprint
-        return fingerprint
-
-    def _local_baseline_tool(self, tool):
-        """An executor-owned clone of *tool* for in-process execution.
-
-        Never the passed instance: all effects must flow through deltas
-        so pooled, cached, and in-process attempts are interchangeable.
-        """
-        tools = self.__dict__.setdefault("_local_tools", {})
-        fingerprint = self._baseline_fingerprint(tool)
-        clone = tools.get(fingerprint)
-        if clone is None:
-            tool_class, workload, kwargs = tool._clone_spec()
-            clone = tool_class(workload, **kwargs)
-            tools[fingerprint] = clone
-        return clone
-
     def _baseline_task(self, tool, plan, run_seed):
-        tool_fp = self._baseline_fingerprint(tool)
+        tool_fp = fingerprint_tool(tool)
         key = None
         if self.cache is not None:
             key = _baseline_key(tool_fp, plan, run_seed)
@@ -955,20 +949,13 @@ class CampaignExecutor:
                 batch_fn = None
 
         def inline_call():
-            return _baseline_execute(
-                self._local_baseline_tool(tool), plan, run_seed
-            )
+            return _baseline_execute(tool, plan, run_seed)
 
         def wrap(value, duration, pid, cached):
             return run_seed, BaselineRunResult(
-                failed=value["failed"],
-                observation=value["observation"],
-                events_observed=value["events"],
-                samples_taken=value["samples"],
-                retired=value["retired"],
-                new_predicates=value["predicates"],
-                duration=duration, worker_pid=pid, cached=cached,
-                error=note["error"], traceback=note["traceback"],
+                delta=value, duration=duration, worker_pid=pid,
+                cached=cached, error=note["error"],
+                traceback=note["traceback"],
             )
 
         return _Task(tag=run_seed, key=key, batch_fn=batch_fn,
@@ -1181,5 +1168,6 @@ __all__ = [
     "fingerprint_config",
     "fingerprint_plan",
     "fingerprint_program",
+    "fingerprint_tool",
     "fingerprint_workload",
 ]

@@ -34,6 +34,7 @@ That used to be silent; ``on_shortfall`` now controls it: ``"warn"``
 Both carry the structured counts so callers can react programmatically.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
 from repro.runtime import checkpoint as _checkpoint
+from repro.runtime import executor as _executor
 from repro.runtime.process import run_program
 
 
@@ -161,7 +163,8 @@ def run_campaign(program, workload, *, want_failures, want_successes,
     are collected, passing runs use ``workload.passing_run_plan``.  Runs
     whose outcome does not match their plan's intent are still recorded
     under their actual outcome (a "failing" plan that survives is a
-    success run, exactly as in production).
+    success run, exactly as in production).  Both phases number their
+    plans from 0 and share the attempt cap.
 
     ``executor`` optionally supplies a
     :class:`~repro.runtime.executor.CampaignExecutor` that runs attempts
@@ -185,50 +188,31 @@ def run_campaign(program, workload, *, want_failures, want_successes,
     config = config or MachineConfig(num_cores=workload.num_cores)
     failures = []
     successes = []
-    attempts = 0
     limit = max_attempts if max_attempts is not None else \
         (want_failures + want_successes) * 20 + 50
-    session = _checkpoint.get_session()
-    stopped = {"reason": None}
+    unit = PlainRuns(program, workload, config)
+    stop_reason = None
+    phases = (
+        ("failing", workload.failing_run_plan,
+         lambda: len(failures) >= want_failures),
+        ("passing", workload.passing_run_plan,
+         lambda: len(successes) >= want_successes),
+    )
+    with use(obs), obs.span("campaign", workload=workload.name):
+        for phase, plan_fn, quota_reached in phases:
+            def absorb(n, failed, status, plan_fn=plan_fn):
+                (failures if failed else successes).append(RunRecord(
+                    index=len(failures) + len(successes), status=status,
+                    failed=failed, plan=plan_fn(n)))
 
-    def consume(phase, plan_fn, quota_reached):
-        nonlocal attempts
-        journal = None
-        if session is not None:
-            journal = session.journal(
-                "campaign." + phase,
-                _checkpoint.stream_fingerprint(
-                    "campaign", phase, _program_token(program),
-                    repr(config), _checkpoint.workload_token(workload),
-                ),
-            )
-        runs = _stream_runs(program, workload, plan_fn, config,
-                            executor, obs, journal, stopped)
-        try:
-            while not quota_reached() and attempts < limit:
-                record = next(runs, None)
-                if record is None:
-                    break
-                record.index = attempts
-                if record.failed:
-                    failures.append(record)
-                    obs.counter("campaign.runs_failed").inc()
-                else:
-                    successes.append(record)
-                    obs.counter("campaign.runs_succeeded").inc()
-                attempts += 1
-        finally:
-            runs.close()
-            if journal is not None:
-                journal.close()
-
-    with obs.span("campaign", workload=workload.name):
-        with obs.span("campaign.failing"):
-            consume("failing", workload.failing_run_plan,
-                    lambda: len(failures) >= want_failures)
-        with obs.span("campaign.passing"):
-            consume("passing", workload.passing_run_plan,
-                    lambda: len(successes) >= want_successes)
+            with obs.span("campaign." + phase):
+                stream = CampaignStream(unit, plan_fn, "campaign." + phase,
+                                        executor=executor)
+                stop_reason = stream.consume(
+                    absorb, until=quota_reached,
+                    limit=limit - len(failures) - len(successes),
+                ) or stop_reason
+    attempts = len(failures) + len(successes)
     obs.counter("campaign.attempts").inc(attempts)
 
     shortfall = None
@@ -239,7 +223,7 @@ def run_campaign(program, workload, *, want_failures, want_successes,
             workload.name, want_failures, len(failures),
             want_successes, len(successes), attempts, limit,
         )
-        if stopped["reason"] is None:
+        if stop_reason is None:
             # A genuine shortfall; a budget/deadline stop is expected
             # degradation and reports through ``partial`` instead.
             obs.counter("campaign.shortfalls").inc()
@@ -263,7 +247,7 @@ def run_campaign(program, workload, *, want_failures, want_successes,
         shortfall=shortfall,
         executor_stats=getattr(executor, "stats", None),
         obs=obs,
-        partial=stopped["reason"],
+        partial=stop_reason,
     )
     get_ledger().record_campaign(workload=workload, result=result,
                                  backend=config.backend)
@@ -292,100 +276,165 @@ def _executor_detail(executor):
             % (len(resilience.task_errors), last["stage"], last["error"]))
 
 
-def _counter(start=0):
-    k = start
-    while True:
-        yield k
-        k += 1
+# ----------------------------------------------------------------------
+# The campaign engine
+# ----------------------------------------------------------------------
 
+class CampaignStream:
+    """One quota-driven stream of campaign runs: the campaign engine.
 
-def _program_token(program):
-    from repro.runtime.executor import fingerprint_program
-    return fingerprint_program(program)
+    Every campaign in the repository — :func:`run_campaign`, the
+    LBRA/LCRA failing and passing phases, the CBI-family baselines — is
+    the plan stream ``plan_fn(start), plan_fn(start + 1), ...`` consumed
+    in plan order until the caller's quota is met, its attempt limit is
+    reached, or the active campaign budget runs out.  The stream owns
+    everything those campaigns share:
 
+    * **dispatch** — in-process, or on *executor*, which speculates
+      ahead on its pool but yields in plan order, so the stopping
+      decisions replay the sequential logic exactly;
+    * **the checkpoint journal** — with a session active, journaled
+      outcomes replay for free (the plan stream is deterministic, so
+      record k *is* the outcome of ``plan_fn(k)``) and every fresh
+      outcome is appended, making the stream resumable after a crash
+      at any point;
+    * **the budget** — fresh runs are charged, replays are free, and
+      exhaustion ends the stream with its reason;
+    * **supervisor heartbeats** and the ``campaign.runs_failed`` /
+      ``campaign.runs_succeeded`` counters.
 
-def _stream_runs(program, workload, plan_fn, config, executor, obs,
-                 journal=None, stopped=None):
-    """Yield RunRecords for ``plan_fn(0), plan_fn(1), ...``, lazily.
-
-    The sequential path executes one plan per pull; the executor path
-    speculates ahead on the pool but still yields in plan order, so the
-    caller's stopping logic sees the same sequence either way.  The whole
-    stream runs with *obs* installed as the current observability bundle
-    so both paths record into the campaign's buffers.
-
-    When *journal* (a :class:`~repro.runtime.checkpoint.CheckpointJournal`)
-    is supplied, previously recorded outcomes replay for free — the plan
-    stream is deterministic, so record k *is* the outcome of
-    ``plan_fn(k)`` — and each fresh outcome is appended before it is
-    yielded, making the stream resumable after a crash at any point.
-    Replayed records never charge the active campaign budget; fresh ones
-    do, and when the budget reports exhaustion the stream ends early
-    with the reason left in ``stopped["reason"]``.
+    *unit* is the unit of work (:class:`PlainRuns` or
+    :class:`BaselineRuns`): how one plan executes in-process or on an
+    executor, and what value it yields.  *name* labels the journal;
+    its fingerprint covers *name*, *start*, and ``unit.token()``.
     """
-    budget = _checkpoint.get_budget()
-    supervisor = _checkpoint.get_supervisor()
-    cursor = 0
-    with use(obs):
-        if journal is not None:
-            for rec in journal.replay():
-                cursor = rec["k"] + 1
-                status = rec["status"]
-                supervisor.beat("campaign")
-                yield RunRecord(
-                    index=-1, status=status,
-                    failed=workload.is_failure(status),
-                    plan=plan_fn(rec["k"]),
-                )
 
-        def fresh():
-            if executor is None:
-                for k in _counter(cursor):
-                    record = _run_one(program, workload, plan_fn(k),
-                                      config)
-                    yield k, record
-            else:
-                plans = (plan_fn(k) for k in _counter(cursor))
-                for k, (plan, result) in enumerate(
-                        executor.iter_runs(program, plans, config),
-                        start=cursor):
-                    yield k, RunRecord(
-                        index=-1, status=result.status,
-                        failed=workload.is_failure(result.status),
-                        plan=plan,
-                    )
+    def __init__(self, unit, plan_fn, name, *, start=0, executor=None):
+        self.unit = unit
+        self.plan_fn = plan_fn
+        self.name = name
+        self.start = start
+        self.executor = executor
+        #: runs consumed so far (replayed plus fresh)
+        self.consumed = 0
 
-        source = fresh()
+    def consume(self, absorb, *, until, limit):
+        """Feed runs to ``absorb(n, failed, value)`` in plan order.
+
+        *n* counts the runs this stream consumed before this one.
+        Stops before the next run once ``until()`` holds or *limit* runs
+        were consumed.  Returns the budget's stop reason
+        (``"run-budget"``/``"deadline"``) when it cut the stream short,
+        ``None`` otherwise.
+        """
+        obs = get_obs()
+        budget = _checkpoint.get_budget()
+        supervisor = _checkpoint.get_supervisor()
+        session = _checkpoint.get_session()
+        journal = None
+        replay = []
+        if session is not None:
+            journal = session.journal(
+                self.name, _checkpoint.stream_fingerprint(
+                    self.name, self.start, *self.unit.token()))
+            replay = journal.replay()
+        cursor = replay[-1]["k"] + 1 if replay else self.start
+        fresh = None
+        reason = None
         try:
-            while True:
-                reason = budget.exhausted()
-                if reason is not None:
-                    if stopped is not None:
-                        stopped["reason"] = reason
-                    return
-                item = next(source, None)
-                if item is None:
-                    return
-                k, record = item
-                budget.charge()
-                if journal is not None:
-                    journal.append(k, record.failed, record.status)
+            while self.consumed < limit and not until():
+                if self.consumed < len(replay):
+                    record = replay[self.consumed]
+                    failed, value = record["failed"], record["status"]
+                else:
+                    reason = budget.exhausted()
+                    if reason is not None:
+                        break
+                    if fresh is None:
+                        fresh = self._fresh(cursor)
+                    k, value = next(fresh)
+                    failed = self.unit.failed(value)
+                    budget.charge()
+                    if journal is not None:
+                        journal.append(k, failed, value)
                 supervisor.beat("campaign")
-                yield record
+                obs.counter("campaign.runs_failed" if failed
+                            else "campaign.runs_succeeded").inc()
+                absorb(self.consumed, failed, value)
+                self.consumed += 1
         finally:
-            source.close()
+            if fresh is not None:
+                fresh.close()
+            if journal is not None:
+                journal.close()
+        return reason
+
+    def _fresh(self, cursor):
+        """Yield ``(k, value)`` for fresh executions from plan *cursor*."""
+        if self.executor is None:
+            for k in itertools.count(cursor):
+                yield k, self.unit.execute(self.plan_fn(k), k)
+        else:
+            plans = ((self.plan_fn(k), k) for k in itertools.count(cursor))
+            yield from zip(itertools.count(cursor),
+                           self.unit.dispatch(self.executor, plans))
 
 
-def _run_one(program, workload, plan, config):
-    status = run_program(
-        program,
-        args=plan.args,
-        scheduler=plan.make_scheduler(),
-        config=config,
-        max_steps=plan.max_steps,
-        globals_setup=plan.globals_setup,
-    )
-    return RunRecord(
-        index=-1, status=status,
-        failed=workload.is_failure(status), plan=plan,
-    )
+class PlainRuns:
+    """Unit of work of a plain run: a plan executes to its ExitStatus."""
+
+    def __init__(self, program, workload, config):
+        self.program = program
+        self.workload = workload
+        self.config = config
+
+    def token(self):
+        return (_executor.fingerprint_program(self.program),
+                repr(self.config), _checkpoint.workload_token(self.workload))
+
+    def execute(self, plan, _k):
+        return run_program(
+            self.program,
+            args=plan.args,
+            scheduler=plan.make_scheduler(),
+            config=self.config,
+            max_steps=plan.max_steps,
+            globals_setup=plan.globals_setup,
+        )
+
+    def dispatch(self, executor, plans):
+        runs = executor.iter_runs(
+            self.program, (plan for plan, _k in plans), self.config)
+        for _plan, result in runs:
+            yield result.status
+
+    def failed(self, status):
+        return self.workload.is_failure(status)
+
+
+class BaselineRuns:
+    """Unit of work of a baseline run: a plan executes to its delta.
+
+    The value is the per-run counter/predicate delta dict of
+    :func:`~repro.runtime.executor._baseline_execute`, whichever way the
+    run was executed (in-process on the tool itself, on a pool worker,
+    from the run cache, or replayed from the journal); the tool applies
+    it with its ``_absorb``.  Plan *k* runs with run seed *k*.
+    """
+
+    def __init__(self, tool):
+        self.tool = tool
+
+    def token(self):
+        return (_executor.fingerprint_tool(self.tool),)
+
+    def execute(self, plan, k):
+        return _executor._baseline_execute(self.tool, plan, k)
+
+    def dispatch(self, executor, plans):
+        for _seed, result in executor.iter_baseline_runs(self.tool, plans):
+            yield result.delta
+
+    @staticmethod
+    def failed(delta):
+        return delta["failed"]

@@ -4,11 +4,16 @@ The durable-campaign contract under test, end to end through the real
 CLI in subprocesses: a run SIGKILLed (``!kill`` fault modifier) at any
 registered fault site, then resumed with ``repro resume``, produces
 **byte-identical** stdout and identical ledger entry ids to a run that
-was never interrupted — at any ``--jobs`` value and on either VM
-backend.  SIGTERM exits with the distinct resumable code and prints the
-resume hint.
+was never interrupted — at any ``--jobs`` value, on either VM backend,
+and for the CBI-family baselines as well as LBRA/LCRA.  SIGTERM exits
+with the distinct resumable code and prints the resume hint.
+
+Every CLI invocation runs in its own session; its process group is
+killed and checked empty afterwards, so pool workers orphaned by a
+chaos kill never outlive the test.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -19,7 +24,7 @@ import pytest
 
 from repro.obs.ledger import Ledger
 from repro.runtime import resilience
-from repro.runtime.checkpoint import RESUMABLE_EXIT_CODE
+from repro.runtime.checkpoint import RESUMABLE_EXIT_CODE, CheckpointJournal
 from repro.runtime.resilience import CRASH_EXIT_CODE
 
 from tests.runtime.test_cli import run_cli
@@ -47,15 +52,54 @@ def _repro(args, cwd, timeout=120):
     out_path = os.path.join(cwd, ".test-stdout")
     err_path = os.path.join(cwd, ".test-stderr")
     with open(out_path, "w") as out, open(err_path, "w") as err:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "repro"] + list(args),
-            cwd=cwd, env=env, stdout=out, stderr=err, timeout=timeout,
+            cwd=cwd, env=env, stdout=out, stderr=err,
+            start_new_session=True,
         )
+        try:
+            returncode = proc.wait(timeout=timeout)
+        finally:
+            _kill_group(proc.pid)
     with open(out_path) as handle:
         stdout = handle.read()
     with open(err_path) as handle:
         stderr = handle.read()
-    return _Result(proc.returncode, stdout, stderr)
+    return _Result(returncode, stdout, stderr)
+
+
+def _live_group_members(pgid):
+    """Pids of the live (non-zombie) processes in process group *pgid*."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as handle:
+                # After the parenthesized command: state, ppid, pgrp, ...
+                fields = handle.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(entry))
+    return members
+
+
+def _kill_group(pgid, timeout=10.0):
+    """SIGKILL what is left of the CLI's process group; assert it is gone.
+
+    A chaos kill exits the CLI with ``os._exit`` while its pool workers
+    are still alive; they share the CLI's process group.
+    """
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    deadline = time.monotonic() + timeout
+    while _live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_group_members(pgid) == [], \
+        "processes of group %d survived" % pgid
 
 
 def _stable_stdout(text):
@@ -77,7 +121,8 @@ def _kill_resume_roundtrip(tmp_path, argv, site_spec):
     """Run *argv* clean, then chaos-killed + resumed; return both sides.
 
     Returns ``None`` when the fault site was never reached (the chaos
-    run finished normally) — the caller skips.
+    run finished normally) — the caller skips.  A ``metrics.json``
+    written by the clean run is kept as ``metrics-clean.json``.
     """
     clean_ledger = tmp_path / "ledger-clean"
     chaos_ledger = tmp_path / "ledger-chaos"
@@ -86,6 +131,9 @@ def _kill_resume_roundtrip(tmp_path, argv, site_spec):
     clean = _repro(argv + ["--ledger-dir", str(clean_ledger)],
                    cwd=str(tmp_path))
     assert clean.returncode == 0, clean.stderr
+    if (tmp_path / "metrics.json").exists():
+        os.replace(tmp_path / "metrics.json",
+                   tmp_path / "metrics-clean.json")
 
     chaos = _repro(
         argv + ["--ledger-dir", str(chaos_ledger),
@@ -140,6 +188,38 @@ def test_kill_resume_across_jobs_and_backends(tmp_path, jobs, backend):
     # above that block is the diagnosis itself and must match exactly.
     assert _stable_stdout(resumed.stdout) == _stable_stdout(clean.stdout)
     assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
+
+
+# ----------------------------------------------------------------------
+# CBI-family baselines
+# ----------------------------------------------------------------------
+
+def _counters(path):
+    with open(path) as handle:
+        return json.load(handle)["counters"]
+
+
+@pytest.mark.parametrize("tool,bug", [("cbi", "squid1"),
+                                      ("cci", "mysql1"),
+                                      ("pbi", "apache4")])
+def test_baseline_kill_resume_runs_only_the_missing_runs(tmp_path, tool,
+                                                         bug):
+    argv = ["diagnose", bug, "--tool", tool, "--runs", "12",
+            "--metrics-out", "metrics.json"]
+    # Killed two records into the second group commit: the first
+    # batch is on disk, so the resume has runs to replay.
+    skip = CheckpointJournal.FLUSH_EVERY + 2
+    result = _kill_resume_roundtrip(
+        tmp_path, argv, "checkpoint-write-torn!kill:1:%d" % skip)
+    assert result is not None, "%s campaign never journaled" % tool
+    clean, resumed, clean_ledger, chaos_ledger = result
+    assert resumed.stdout == clean.stdout
+    assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
+    before = _counters(tmp_path / "metrics-clean.json")
+    after = _counters(tmp_path / "metrics.json")
+    replayed = after.get("checkpoint.replayed", 0)
+    assert replayed == CheckpointJournal.FLUSH_EVERY
+    assert replayed + after["machine.runs"] == before["machine.runs"]
 
 
 # ----------------------------------------------------------------------
