@@ -421,48 +421,49 @@ def _worker_run_plans(program_fp, program_blob, config_blob, collect_obs,
 def _baseline_execute(tool, plan, run_seed):
     """Run one baseline attempt on *tool*; return its delta dict.
 
-    Counter and predicate contributions are measured as before/after
-    deltas and then rolled back, so an attempt leaves *tool* as it found
-    it: speculative attempts executed on a long-lived worker tool never
-    leak into results of other attempts, and an in-process attempt on
-    the consuming tool itself is applied exactly once, by its
-    ``_absorb``.  Every run therefore reports the *full* predicate set
-    it observed regardless of what ran on this tool before — the
-    consumer's in-order ``setdefault`` merge then reproduces the
-    sequential registry exactly, contents and insertion order both.
+    The attempt runs against an empty predicate registry and its
+    counter contributions are measured as before/after deltas; registry
+    and counters are restored afterwards, so an attempt leaves *tool* as
+    it found it.  Speculative attempts on a long-lived worker tool never
+    leak into other attempts, and an in-process attempt on the consuming
+    tool itself is applied exactly once, by its ``_absorb``.  Every run
+    therefore reports the *full* predicate set it observed, whatever ran
+    on this tool before — so a delta is a function of (tool, plan, run
+    seed) alone, as the run cache and the journal require, and the
+    consumer's in-order ``setdefault`` merge reproduces the sequential
+    registry exactly, contents and insertion order both.
     """
     events0 = tool.events_observed
     samples0 = tool.samples_taken
     retired0 = tool.retired_total
     predicates = getattr(tool, "_predicates", None)
-    known = frozenset(predicates) if predicates is not None else None
-    failed, observation = tool._run_once(plan, run_seed)
-    new_predicates = {}
     if predicates is not None:
-        new_predicates = {key: value for key, value in predicates.items()
-                          if key not in known}
-        for key in new_predicates:
-            del predicates[key]
-    delta = {
-        "failed": failed,
-        "observation": observation,
-        "events": tool.events_observed - events0,
-        "samples": tool.samples_taken - samples0,
-        "retired": tool.retired_total - retired0,
-        "predicates": new_predicates,
-    }
-    tool.events_observed = events0
-    tool.samples_taken = samples0
-    tool.retired_total = retired0
-    return delta
+        tool._predicates = {}
+    try:
+        failed, observation = tool._run_once(plan, run_seed)
+        return {
+            "failed": failed,
+            "observation": observation,
+            "events": tool.events_observed - events0,
+            "samples": tool.samples_taken - samples0,
+            "retired": tool.retired_total - retired0,
+            "predicates": tool._predicates if predicates is not None
+            else {},
+        }
+    finally:
+        if predicates is not None:
+            tool._predicates = predicates
+        tool.events_observed = events0
+        tool.samples_taken = samples0
+        tool.retired_total = retired0
 
 
 def _worker_run_baselines(tool_fp, tool_blob, collect_obs, calls):
     """Execute a batch of ``(plan_blob, run_seed)`` baseline attempts.
 
-    Safe to batch because :func:`_baseline_execute` reports before/after
-    deltas and rolls the predicate registry back after each attempt —
-    every attempt's contribution is independent of its batch-mates.
+    Safe to batch because :func:`_baseline_execute` runs each attempt
+    against an empty predicate registry and restores the tool afterwards
+    — every attempt's contribution is independent of its batch-mates.
     """
     resilience.worker_entry_faults()
     tool = _WORKER_TOOLS.get(tool_fp)

@@ -91,6 +91,35 @@ def test_parallel_baseline_matches_sequential():
     assert parallel_tool.retired_total == sequential_tool.retired_total
 
 
+@pytest.mark.parametrize("tool_name,bug", [("cci", "mysql1"),
+                                           ("pbi", "apache4")])
+def test_cached_baseline_deltas_do_not_depend_on_campaign_history(tool_name,
+                                                                  bug):
+    from repro.baselines.cci import CciTool
+    from repro.baselines.pbi import PbiTool
+
+    tool_class = {"cci": CciTool, "pbi": PbiTool}[tool_name]
+    cold_tool = tool_class(get_bug(bug))
+    cold = cold_tool.run_diagnosis(n_failures=10, n_successes=10)
+    with CampaignExecutor(jobs=1, cache=True) as executor:
+        # An earlier, shorter campaign on the same executor fills the run
+        # cache with deltas of in-process runs on a tool that already
+        # knew some predicates.
+        tool_class(get_bug(bug),
+                   executor=executor).run_diagnosis(n_failures=6,
+                                                    n_successes=6)
+        warm_tool = tool_class(get_bug(bug), executor=executor)
+        warm = warm_tool.run_diagnosis(n_failures=10, n_successes=10)
+        assert executor.stats.cache_hits_memory > 0
+    assert list(warm_tool.predicate_info().items()) == \
+        list(cold_tool.predicate_info().items())
+    assert [repr(p) for p in warm.ranked] == [repr(p) for p in cold.ranked]
+    assert (warm_tool.events_observed, warm_tool.samples_taken,
+            warm_tool.retired_total) == \
+        (cold_tool.events_observed, cold_tool.samples_taken,
+         cold_tool.retired_total)
+
+
 def test_pool_workers_actually_used():
     workload = Thresholdy()
     program = compile_source(SOURCE)
