@@ -65,7 +65,7 @@ is then enabled for the invocation and the span trace / metric totals
 are written on exit (see :mod:`repro.obs`; render traces with
 ``repro obs report``).  ``triage`` additionally accepts
 ``--snapshot-out FILE.json``, publishing a live telemetry snapshot
-(:mod:`repro.obs.timeseries`) after every diagnosed cluster — the feed
+(:mod:`repro.obs.export`) after every diagnosed cluster — the feed
 behind ``repro obs watch`` and ``repro obs export``.
 
 ``diagnose`` and ``experiment`` also append to the persistent run
@@ -709,9 +709,12 @@ def _cmd_obs_explain(args, out):
 def _resolve_snapshot(args, out):
     """The telemetry snapshot named by --snapshot, or one rebuilt from
     the ledger's triage entries.  Returns ``(snapshot, exit_code)``."""
-    from repro.obs.export import snapshot_from_ledger
+    from repro.obs.export import (
+        NotASnapshot,
+        read_snapshot,
+        snapshot_from_ledger,
+    )
     from repro.obs.ledger import Ledger
-    from repro.obs.timeseries import NotASnapshot, read_snapshot
 
     path = getattr(args, "snapshot", None)
     if path:
@@ -1282,8 +1285,9 @@ def build_parser():
     )
     export_parser.add_argument(
         "--include-timings", action="store_true",
-        help="also export wall-clock timing sketches (breaks the "
-             "cross-jobs byte-identity of the output)",
+        help="also export timing instruments — wall-clock timers and "
+             "executor venue counts (breaks the cross-jobs "
+             "byte-identity of the output)",
     )
 
     compare_parser = obs_commands.add_parser(

@@ -143,9 +143,9 @@ class FleetStream:
         one tick (report ingest is a deterministic progress point — the
         stream is a pure function of ``(population, seed)``, so the
         clock is jobs-invariant) and lands in the ``fleet.reports``
-        windowed series.  Every emission attempt — manifesting or not —
-        feeds the ``stage.attempt.seconds`` timing sketch; the
-        ``stage.ingest.seconds`` sketch gets the true per-report
+        counter.  Every emission attempt — manifesting or not — feeds
+        the ``stage.attempt.seconds`` timing histogram; the
+        ``stage.ingest.seconds`` histogram gets the true per-report
         generation latency (all attempt time accumulated since the
         previous report), so skipped attempts don't skew the ``obs
         watch`` latency panel.
@@ -158,7 +158,7 @@ class FleetStream:
         fewer than *n* reports.
         """
         obs = get_obs()
-        timeseries = obs.timeseries
+        metrics = obs.metrics
         produced = 0
         attempts = 0
         pending_seconds = 0.0
@@ -175,7 +175,7 @@ class FleetStream:
             started = time.perf_counter()
             status = tool.run_plan(workload.failing_run_plan(k))
             elapsed = time.perf_counter() - started
-            timeseries.sketch("stage.attempt.seconds",
+            metrics.histogram("stage.attempt.seconds",
                               timing=True).observe(elapsed)
             pending_seconds += elapsed
             if not workload.is_failure(status):
@@ -183,10 +183,9 @@ class FleetStream:
                 # member emits nothing for a successful run.
                 continue
             produced += 1
-            obs.counter("fleet.stream.reports").inc()
-            timeseries.tick()
-            timeseries.windowed("fleet.reports").inc()
-            timeseries.sketch("stage.ingest.seconds",
+            metrics.tick()
+            metrics.counter("fleet.reports").inc()
+            metrics.histogram("stage.ingest.seconds",
                               timing=True).observe(pending_seconds)
             pending_seconds = 0.0
             yield FailureReport(

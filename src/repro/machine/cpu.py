@@ -117,7 +117,7 @@ class ExitStatus:
     def __reduce__(self):
         # Positional-reconstruct pickling keeps the per-run checkpoint
         # append inside its overhead budget (see
-        # ``benchmarks/test_checkpoint_overhead.py``).
+        # ``benchmarks/test_overhead.py``).
         return (ExitStatus, (self.exit_code, self.fault, self.output,
                              self.retired, self.profiles))
 

@@ -2,7 +2,8 @@
 
 One :class:`Observability` object bundles a :class:`~repro.obs.tracer.Tracer`
 (nested wall-time spans) and a :class:`~repro.obs.metrics.Metrics`
-registry (counters / gauges / histograms), threaded through every layer:
+registry (counters / gauges / histograms on a deterministic logical
+clock), threaded through every layer:
 the machine harvests per-run hardware counts, campaigns count outcomes,
 the executor records dispatch/cache/speculation activity, and each
 experiment driver tags its phase.  Usage::
@@ -56,45 +57,38 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetrics,
 )
-from repro.obs.timeseries import (
-    NULL_TIMESERIES,
-    NullTimeseries,
-    Timeseries,
-)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, read_jsonl
 
 
 class Observability:
-    """A tracer + metrics + timeseries bundle (see the module docstring)."""
+    """A tracer + metrics bundle (see the module docstring)."""
 
     def __init__(self, enabled=True):
         self.enabled = enabled
         if enabled:
             self.tracer = Tracer()
             self.metrics = Metrics()
-            self.timeseries = Timeseries()
         else:
             self.tracer = NULL_TRACER
             self.metrics = NULL_METRICS
-            self.timeseries = NULL_TIMESERIES
 
     # -- convenience delegates ------------------------------------------
 
     def span(self, name, **attrs):
         return self.tracer.span(name, **attrs)
 
-    def counter(self, name):
-        return self.metrics.counter(name)
+    def counter(self, name, timing=False):
+        return self.metrics.counter(name, timing=timing)
 
-    def gauge(self, name):
-        return self.metrics.gauge(name)
+    def gauge(self, name, timing=False):
+        return self.metrics.gauge(name, timing=timing)
 
-    def histogram(self, name):
-        return self.metrics.histogram(name)
+    def histogram(self, name, timing=False):
+        return self.metrics.histogram(name, timing=timing)
 
     def timer(self, name):
-        """A stage timer into the timeseries (no-op when disabled)."""
-        return self.timeseries.timer(name)
+        """A stage timer into a timing histogram (no-op when disabled)."""
+        return self.metrics.timer(name)
 
     # -- per-run harvest ------------------------------------------------
 
@@ -131,30 +125,28 @@ class Observability:
         counter("cache.evictions").inc(evictions)
         counter("hwop.dispatched").inc(sum(machine.hwop_counts.values()))
         counter("hwop.broadcast").inc(machine.hwop_broadcast_count)
-        metrics.histogram("machine.run_seconds").observe(seconds)
+        metrics.histogram("machine.run_seconds",
+                          timing=True).observe(seconds)
         metrics.histogram("machine.run_retired").observe(machine.retired)
 
     # -- worker buffer exchange -----------------------------------------
 
     def to_payload(self):
-        """Serialize all three buffers for shipping across processes."""
+        """Serialize both buffers for shipping across processes."""
         return {"metrics": self.metrics.to_dict(),
-                "spans": self.tracer.to_records(),
-                "timeseries": self.timeseries.to_dict()}
+                "spans": self.tracer.to_records()}
 
     def merge_payload(self, payload, span_root=None):
         """Merge a worker's :meth:`to_payload` buffers into this obs.
 
         Spans are re-rooted under *span_root* (default: the currently
-        open span); metric counters/histograms and timeseries
-        instruments accumulate (sketch buckets add, gauge points
-        overwrite per tick — order-independent by construction).
+        open span); metrics merge by :meth:`Metrics.merge` — a worker
+        never ticks, so its counts land at this obs's current tick.
         """
         if not payload:
             return
-        self.metrics.merge(payload.get("metrics", {}))
+        self.metrics.merge(payload.get("metrics"))
         self.tracer.absorb(payload.get("spans", ()), under=span_root)
-        self.timeseries.merge(payload.get("timeseries"))
 
     # -- export ---------------------------------------------------------
 
@@ -212,12 +204,9 @@ __all__ = [
     "Metrics",
     "NULL_METRICS",
     "NULL_OBS",
-    "NULL_TIMESERIES",
     "NULL_TRACER",
     "NullMetrics",
-    "NullTimeseries",
     "NullTracer",
-    "Timeseries",
     "Observability",
     "Span",
     "Tracer",

@@ -1,35 +1,40 @@
-"""OpenMetrics text exposition of telemetry snapshots.
+"""Telemetry snapshots and their OpenMetrics text exposition.
 
-``repro obs export`` renders a snapshot file (published by
-``repro triage --snapshot-out``) — or a snapshot reconstructed from the
-run ledger's triage entries — in the OpenMetrics text format
-(Prometheus exposition): ``# TYPE``/``# HELP`` metadata lines, one
-sample per line, terminated by ``# EOF``.
+A **snapshot** is the at-rest form of a :class:`~repro.obs.metrics.
+Metrics` registry plus dashboard sections: ``repro triage
+--snapshot-out`` publishes one atomically after every diagnosed
+cluster (:func:`build_snapshot`, :func:`publish_snapshot`), ``repro obs
+watch`` tails it and :func:`read_snapshot` reads it back.
 
-The default export surface is **deterministic only**: windowed
-counters, gauge series, and non-timing sketches, all keyed by the
-logical clock.  Timing sketches (stage latency) and the executor/wall
-snapshot sections hold wall-clock venue data, so they are excluded
-unless ``include_timings=True`` — this exclusion is what makes
-``repro triage --jobs 1`` and ``--jobs 4`` export byte-identical
-bodies, the property ``tests/obs/test_merge_invariance.py`` pins.
+``repro obs export`` renders a snapshot file — or a snapshot
+reconstructed from the run ledger's triage entries — in the OpenMetrics
+text format (Prometheus exposition): ``# TYPE``/``# HELP`` metadata
+lines, one sample per line, terminated by ``# EOF``.
 
-Metric naming: series name dots become underscores under a ``repro_``
-prefix (``fleet.reports`` → ``repro_fleet_reports``).  A series whose
-last dotted segment looks like a per-signature label (the fleet
-pipeline emits ``fleet.rank_of_true_cause.<sig>``) keeps the family
-name and carries the segment as a ``key`` label, so one Prometheus
-query covers the whole family.
+The default export surface is **deterministic only**: every instrument
+whose ``timing`` flag is clear, keyed by the logical clock.  Timing
+instruments (stage latency, executor venue counts) and the
+executor/wall snapshot sections are excluded unless
+``include_timings=True`` — this exclusion is what makes ``repro triage
+--jobs 1`` and ``--jobs 4`` export byte-identical bodies, the property
+``tests/obs/test_merge_invariance.py`` pins.
+
+Metric naming: instrument name dots become underscores under a
+``repro_`` prefix (``fleet.reports`` → ``repro_fleet_reports``).  An
+instrument whose last dotted segment looks like a per-signature label
+(the fleet pipeline emits ``fleet.rank_of_true_cause.<sig>``) keeps the
+family name and carries the segment as a ``key`` label, so one
+Prometheus query covers the whole family.
 """
 
+import json
 import re
+import time
 
-from repro.obs.timeseries import (
-    DEFAULT_ALPHA,
-    QuantileSketch,
-    Timeseries,
-    build_snapshot,
-)
+from repro.obs.metrics import DEFAULT_ALPHA, Histogram, Metrics
+
+#: Bump when the snapshot / series layout changes incompatibly.
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: Quantiles rendered for each sketch family.
 EXPORT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
@@ -109,8 +114,13 @@ def render_openmetrics(snapshot, include_timings=False):
                    "Deterministic pipeline progress counter.")
     clock.add("_total", (), snapshot.get("clock", 0))
 
+    def shown(summary):
+        return include_timings or not summary.get("timing")
+
     for series_name, summary in sorted(
-            series.get("windowed", {}).items()):
+            series.get("counters", {}).items()):
+        if not shown(summary):
+            continue
         name, label, base_name = _metric_name(series_name)
         fam = family(name, "counter",
                      "Windowed counter %s (logical-clock windows of %s)."
@@ -122,6 +132,8 @@ def render_openmetrics(snapshot, include_timings=False):
             fam.add("_window", base + (("window", bucket),), count)
 
     for series_name, summary in sorted(series.get("gauges", {}).items()):
+        if not shown(summary):
+            continue
         name, label, base_name = _metric_name(series_name)
         fam = family(name, "gauge",
                      "Gauge series %s sampled at logical-clock ticks."
@@ -132,8 +144,8 @@ def render_openmetrics(snapshot, include_timings=False):
             fam.add("", base + (("tick", str(tick)),), value)
 
     for series_name, summary in sorted(
-            series.get("sketches", {}).items()):
-        if summary.get("timing") and not include_timings:
+            series.get("histograms", {}).items()):
+        if not shown(summary):
             continue
         name, label, base_name = _metric_name(series_name)
         fam = family(name, "summary",
@@ -141,10 +153,7 @@ def render_openmetrics(snapshot, include_timings=False):
                      % (base_name, summary.get("alpha",
                                                DEFAULT_ALPHA)))
         base = (("key", label),) if label else ()
-        sketch = QuantileSketch(
-            series_name, alpha=summary.get("alpha", DEFAULT_ALPHA),
-            timing=summary.get("timing", False))
-        sketch.merge(summary)
+        sketch = Histogram.from_summary(series_name, summary)
         for q in EXPORT_QUANTILES:
             fam.add("", base + (("quantile", _format_value(q)),),
                     sketch.quantile(q))
@@ -162,29 +171,111 @@ def snapshot_from_ledger(ledger, kind="triage"):
     """Rebuild a telemetry snapshot from the ledger's obs payloads.
 
     Each triage invocation's fleet-summary entry (``kind="triage"``,
-    ``workload="fleet"``) records that invocation's cumulative
-    timeseries buffer under the timing-exempt ``obs`` bucket; merging
-    the summaries in seq order reconstructs the fleet's aggregate
-    series — the offline twin of the live snapshot file.  Returns
-    ``None`` when no entry carries telemetry (pre-telemetry ledgers).
+    ``workload="fleet"``) records that invocation's cumulative metrics
+    buffer, timing instruments left out, under the timing-exempt
+    ``obs`` bucket; merging the summaries in seq order reconstructs the
+    fleet's aggregate series — the offline twin of the live snapshot
+    file.  Returns ``None`` when no entry carries telemetry.
     """
-    timeseries = Timeseries()
+    metrics = Metrics()
     merged = 0
     for entry in ledger.entries(kind=kind, workload="fleet"):
-        payload = (entry.get("obs") or {}).get("timeseries")
-        if not payload:
+        payload = entry.get("obs") or {}
+        legacy = payload.get("timeseries")
+        if legacy:
+            # Entries written before the two metric registries merged
+            # keep the clock-keyed instruments under their old names.
+            payload = {"clock": legacy.get("clock", 0),
+                       "counters": legacy.get("windowed", {}),
+                       "gauges": legacy.get("gauges", {}),
+                       "histograms": legacy.get("sketches", {})}
+        if not payload.get("clock"):
             continue
-        timeseries.merge(payload)
+        metrics.merge(payload)
         merged += 1
     if not merged:
         return None
-    return build_snapshot(timeseries, complete=True,
+    return build_snapshot(metrics, complete=True,
                           fleet={"source": "ledger",
                                  "entries": merged})
 
 
+# ----------------------------------------------------------------------
+# Snapshot files
+# ----------------------------------------------------------------------
+
+def build_snapshot(metrics, fleet=None, executor=None, wall=None,
+                   complete=False):
+    """Assemble the snapshot dict ``repro obs watch``/``export`` read.
+
+    ``series`` holds the registry's :meth:`~repro.obs.metrics.Metrics.
+    to_dict` buffer (timing instruments included, flagged);
+    ``fleet``/``executor``/``wall`` are free-form sections for the
+    dashboard — the executor and wall sections are venue/timing data
+    and never enter the deterministic export.
+    """
+    return {
+        "version": SNAPSHOT_FORMAT_VERSION,
+        "complete": bool(complete),
+        "clock": metrics.now,
+        "series": metrics.to_dict(),
+        "fleet": fleet or {},
+        "executor": executor or {},
+        "wall": wall or {},
+        "updated_at": time.time(),
+    }
+
+
+def publish_snapshot(path, snapshot):
+    """Atomically write *snapshot* to *path*; ``False`` on failure.
+
+    Readers (``repro obs watch``) therefore always see a complete JSON
+    document, never a torn write.  Best-effort: a full disk must not
+    take the pipeline down.
+    """
+    from repro.runtime.resilience import atomic_write
+
+    try:
+        atomic_write(path, json.dumps(snapshot, sort_keys=True) + "\n")
+    except OSError:
+        return False
+    return True
+
+
+class NotASnapshot(ValueError):
+    """The given file is not a readable telemetry snapshot."""
+
+
+def read_snapshot(path):
+    """Read a snapshot file back; raises :class:`NotASnapshot`."""
+    try:
+        with open(path) as handle:
+            snapshot = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise NotASnapshot("not a telemetry snapshot: %s is not JSON "
+                           "(%s)" % (path, exc)) from None
+    if not isinstance(snapshot, dict) or "series" not in snapshot \
+            or "clock" not in snapshot:
+        raise NotASnapshot(
+            "not a telemetry snapshot: %s lacks the series/clock keys "
+            "(expected a file published by `repro triage "
+            "--snapshot-out`)" % path)
+    version = snapshot.get("version")
+    if version != SNAPSHOT_FORMAT_VERSION:
+        raise NotASnapshot(
+            "unsupported telemetry snapshot: %s has version %r, this "
+            "build reads version %d (re-publish it with `repro triage "
+            "--snapshot-out`)" % (path, version, SNAPSHOT_FORMAT_VERSION))
+    return snapshot
+
+
 __all__ = [
     "EXPORT_QUANTILES",
+    "NotASnapshot",
+    "SNAPSHOT_FORMAT_VERSION",
+    "build_snapshot",
+    "publish_snapshot",
+    "read_snapshot",
     "render_openmetrics",
     "snapshot_from_ledger",
 ]

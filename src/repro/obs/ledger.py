@@ -37,7 +37,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from repro.obs import get_obs
 from repro.obs.provenance import provenance_digest
@@ -275,23 +274,13 @@ class Ledger:
     def _write_index(self, index):
         # Atomic replace, same discipline as the run cache's disk layer;
         # best-effort — the JSONL file remains the source of truth.
-        temp_path = None
+        resilience = _resilience()
         try:
-            _resilience().fault_point("index-write-error")
-            fd, temp_path = tempfile.mkstemp(dir=self.directory,
-                                             suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle, sort_keys=True)
-            os.replace(temp_path, self.index_path)
-            temp_path = None
+            resilience.fault_point("index-write-error")
+            resilience.atomic_write(self.index_path,
+                                    json.dumps(index, sort_keys=True))
         except OSError:
             pass
-        finally:
-            if temp_path is not None:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
 
     # -- reading --------------------------------------------------------
 
@@ -515,27 +504,16 @@ def _executor_record_from_stats(stats):
 
 
 def _obs_record(obs):
-    """Counter totals of an enabled obs bundle (None when disabled).
+    """The deterministic metrics of an enabled obs bundle (None when off).
 
-    Executor-dispatch counters are left to the ``executor`` bucket —
-    everything recorded here is jobs-invariant by the obs merge
-    contract, keeping the bucket comparable across execution modes.
+    Timing instruments — wall-clock timers and the executor's venue
+    counts — are left out, so everything recorded here is jobs-invariant
+    by the obs merge contract and the bucket stays comparable across
+    execution modes.
     """
     if obs is None or not getattr(obs, "enabled", False):
         return None
-    counters = {
-        name: value
-        for name, value in obs.metrics.to_dict()["counters"].items()
-        if not name.startswith("executor.")
-    }
-    record = {"counters": counters}
-    timeseries = getattr(obs, "timeseries", None)
-    if timeseries is not None and getattr(timeseries, "enabled", False) \
-            and timeseries.now:
-        # The telemetry buffer rides in the same timing-exempt bucket,
-        # so `repro obs export` can rebuild a snapshot from the ledger.
-        record["timeseries"] = timeseries.to_dict()
-    return record
+    return obs.metrics.to_dict(include_timings=False)
 
 
 # ----------------------------------------------------------------------

@@ -11,15 +11,15 @@ An SLO file is a JSON document::
        "max": 12}
     ]}
 
-Each objective names one series of a telemetry snapshot
-(:mod:`repro.obs.timeseries`) and constrains it:
+Each objective names one instrument of a telemetry snapshot
+(:mod:`repro.obs.export`) and constrains it:
 
-* a **sketch** objective (``quantile`` given) compares the sketch's
+* a **quantile** objective (``quantile`` given) compares a histogram's
   estimated quantile against ``max``/``min`` — e.g. "p95 stage latency
   stays under 500 ms";
 * a **windowed** objective (``min_per_window``/``max_per_window``)
-  checks every logical-clock window of a windowed counter — e.g. "at
-  least 4 reports ingested per window";
+  checks every logical-clock window of a counter — e.g. "at least 4
+  reports ingested per window";
 * a **gauge** objective (plain ``max``/``min``) checks every point of
   a gauge series — e.g. "every signature reaches rank 1 within 12
   runs" against the per-signature ``runs_to_rank1`` gauges (matched by
@@ -41,6 +41,8 @@ ledger, and exits non-zero on violation — the CI gate.
 import json
 import math
 from dataclasses import dataclass
+
+from repro.obs.metrics import Histogram
 
 #: Fields an SLO objective may carry.
 _ALLOWED_KEYS = frozenset((
@@ -182,49 +184,29 @@ def _burn(violations, checked, budget):
     return fraction / budget
 
 
-def _sketch_values(series, metric):
-    """All sketches matching *metric* (exact name or ``prefix.`` family)."""
-    sketches = series.get("sketches", {})
-    if metric in sketches:
-        return {metric: sketches[metric]}
+def _matching(instruments, metric):
+    """Instruments matching *metric* (exact name or ``prefix.`` family)."""
+    if metric in instruments:
+        return {metric: instruments[metric]}
     prefix = metric + "."
-    return {name: summary for name, summary in sketches.items()
+    return {name: summary for name, summary in instruments.items()
             if name.startswith(prefix)}
-
-
-def _gauge_values(series, metric):
-    gauges = series.get("gauges", {})
-    if metric in gauges:
-        return {metric: gauges[metric]}
-    prefix = metric + "."
-    return {name: summary for name, summary in gauges.items()
-            if name.startswith(prefix)}
-
-
-def _quantile_of_summary(summary, q):
-    """Re-evaluate a quantile from a serialized sketch summary."""
-    from repro.obs.timeseries import DEFAULT_ALPHA, QuantileSketch
-
-    sketch = QuantileSketch("eval",
-                            alpha=summary.get("alpha", DEFAULT_ALPHA),
-                            timing=summary.get("timing", False))
-    sketch.merge(summary)
-    return sketch.quantile(q)
 
 
 def evaluate_slo(slo, snapshot):
     """Evaluate one objective against a snapshot; returns SLOResult."""
     series = snapshot.get("series", {})
     if slo.quantile is not None:
-        matches = _sketch_values(series, slo.metric)
+        matches = _matching(series.get("histograms", {}), slo.metric)
         if not matches:
             return SLOResult(slo=slo, ok=False, value=None,
-                             detail="no sketch named %r in the snapshot"
-                             % slo.metric)
+                             detail="no histogram named %r in the "
+                             "snapshot" % slo.metric)
         checked = violations = 0
         worst = None
         for name, summary in sorted(matches.items()):
-            value = _quantile_of_summary(summary, slo.quantile)
+            value = Histogram.from_summary(name, summary).quantile(
+                slo.quantile)
             if value is None:
                 continue
             checked += 1
@@ -237,18 +219,16 @@ def evaluate_slo(slo, snapshot):
         return SLOResult(slo=slo, ok=burn <= 1.0, value=worst,
                          checked=checked, violations=violations,
                          burn_rate=burn,
-                         detail="%d sketch(es)" % checked)
+                         detail="%d histogram(s)" % checked)
     if slo.windowed:
-        summary = series.get("windowed", {}).get(slo.metric)
+        summary = series.get("counters", {}).get(slo.metric)
         if summary is None:
             return SLOResult(slo=slo, ok=False, value=None,
-                             detail="no windowed series named %r"
-                             % slo.metric)
+                             detail="no counter named %r" % slo.metric)
         buckets = summary.get("buckets", {})
         if not buckets:
             return SLOResult(slo=slo, ok=False, value=None,
-                             detail="windowed series %r is empty"
-                             % slo.metric)
+                             detail="counter %r is empty" % slo.metric)
         # Interior windows only: the final window is usually still
         # filling when the snapshot was cut, so a min-throughput gate
         # over it would flag every healthy shutdown.
@@ -264,10 +244,10 @@ def evaluate_slo(slo, snapshot):
                          checked=len(interior), violations=violations,
                          burn_rate=burn,
                          detail="%d window(s)" % len(interior))
-    matches = _gauge_values(series, slo.metric)
+    matches = _matching(series.get("gauges", {}), slo.metric)
     if not matches:
         return SLOResult(slo=slo, ok=False, value=None,
-                         detail="no gauge series named %r" % slo.metric)
+                         detail="no gauge named %r" % slo.metric)
     checked = violations = 0
     worst = None
     for name, summary in sorted(matches.items()):
@@ -287,7 +267,7 @@ def evaluate_slo(slo, snapshot):
                 violations += 1
     if not checked:
         return SLOResult(slo=slo, ok=False, value=None,
-                         detail="gauge series %r has no points"
+                         detail="gauge %r has no points"
                          % slo.metric)
     burn = _burn(violations, checked, slo.budget)
     return SLOResult(slo=slo, ok=burn <= 1.0, value=worst,

@@ -17,7 +17,8 @@ renders a single frame and exits — the mode tests and CI use.
 import os
 import time
 
-from repro.obs.timeseries import NotASnapshot, read_snapshot
+from repro.obs.export import NotASnapshot, read_snapshot
+from repro.obs.metrics import Histogram
 
 #: Unicode spark levels, low to high.
 SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -86,13 +87,19 @@ def render_dashboard(snapshot, now=None, width=72):
         parts = ["%s=%s" % (key, fleet[key]) for key in sorted(fleet)]
         lines.append("fleet     " + "  ".join(parts))
 
-    for name, summary in sorted(series.get("windowed", {}).items()):
-        buckets = summary.get("buckets", {})
-        ordered = [buckets[key] for key in sorted(buckets, key=int)]
-        lines.append("%-9s %6d total  %s/window %s"
-                     % (name.split(".")[-1], summary.get("total", 0),
-                        summary.get("window"),
-                        sparkline(ordered[-32:])))
+    counters = {name: summary for name, summary in
+                series.get("counters", {}).items()
+                if not summary.get("timing")}
+    if counters:
+        lines.append("")
+        lines.append("counters (total, per logical-clock window)")
+        for name, summary in sorted(counters.items()):
+            buckets = summary.get("buckets", {})
+            ordered = [buckets[key] for key in sorted(buckets, key=int)]
+            lines.append("  %-28s %8d  %s/window %s"
+                         % (name, summary.get("total", 0),
+                            summary.get("window"),
+                            sparkline(ordered[-32:])))
 
     ranks = {
         name: summary for name, summary in
@@ -113,18 +120,13 @@ def render_dashboard(snapshot, now=None, width=72):
 
     timing = {
         name: summary for name, summary in
-        series.get("sketches", {}).items() if summary.get("timing")
+        series.get("histograms", {}).items() if summary.get("timing")
     }
     if timing:
-        from repro.obs.timeseries import DEFAULT_ALPHA, QuantileSketch
-
         lines.append("")
-        lines.append("stage latency (seconds)")
+        lines.append("latency (seconds)")
         for name, summary in sorted(timing.items()):
-            sketch = QuantileSketch(
-                name, alpha=summary.get("alpha", DEFAULT_ALPHA),
-                timing=True)
-            sketch.merge(summary)
+            sketch = Histogram.from_summary(name, summary)
             lines.append(
                 "  %-28s p50 %8.4f  p95 %8.4f  n=%d"
                 % (name, sketch.quantile(0.5) or 0.0,

@@ -42,7 +42,7 @@ All three install via the module-global "current X" pattern used by
 without signature changes.  When nothing is installed, the hooks cost
 one module-global read per stream; with checkpointing on, the journal
 overhead is pinned ≤3 % of a full diagnosis campaign by
-``benchmarks/test_checkpoint_overhead.py``.
+``benchmarks/test_overhead.py``.
 """
 
 import base64

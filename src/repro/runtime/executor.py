@@ -53,7 +53,6 @@ import io
 import os
 import pickle
 import sys
-import tempfile
 import time
 import traceback as traceback_module
 from collections import OrderedDict, deque
@@ -70,6 +69,7 @@ from repro.runtime.resilience import (
     FileLock,
     ResiliencePolicy,
     ResilienceStats,
+    atomic_write,
     fault_point,
 )
 
@@ -319,7 +319,7 @@ class RunCache:
             # I/O error): evict it rather than crash or trust it — the
             # run re-executes and re-stores a fresh entry.
             self.corrupt_dropped += 1
-            get_obs().counter("cache.corrupt_dropped").inc()
+            get_obs().counter("cache.corrupt_dropped", timing=True).inc()
             try:
                 os.unlink(path)
             except OSError:
@@ -333,34 +333,20 @@ class RunCache:
         payload = {"format": CACHE_FORMAT_VERSION,
                    "value": entry["value"],
                    "duration": entry["duration"]}
-        temp_path = None
         try:
             fault_point("cache-write-error")
             blob = pickle.dumps(payload,
                                 protocol=pickle.HIGHEST_PROTOCOL)
             if fault_point("cache-write-torn"):
                 blob = blob[:max(1, len(blob) // 2)]
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
             # Publish under the advisory lock: concurrent invocations
-            # sharing this directory serialize their (atomic) renames.
+            # sharing this directory serialize their (atomic) writes.
             with self._disk_lock:
-                os.replace(temp_path, path)
-            temp_path = None
+                atomic_write(path, blob)
         except (OSError, pickle.PicklingError):
             # Disk layer is best-effort; memory layer already holds it.
             self.write_errors += 1
-            get_obs().counter("cache.disk_write_errors").inc()
-        finally:
-            if temp_path is not None:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
+            get_obs().counter("cache.disk_write_errors", timing=True).inc()
 
 
 # ----------------------------------------------------------------------
@@ -731,8 +717,8 @@ class CampaignExecutor:
             except Exception:
                 pass
             self.stats.resilience.pool_restarts += 1
-            get_obs().counter("executor.pool_restarts").inc()
-            get_obs().gauge("executor.ladder_restarts").set(
+            get_obs().counter("executor.pool_restarts", timing=True).inc()
+            get_obs().gauge("executor.ladder_restarts", timing=True).set(
                 self.stats.resilience.pool_restarts)
             checkpoint.get_supervisor().note("pool-restart")
         if (self.stats.resilience.pool_restarts
@@ -740,8 +726,8 @@ class CampaignExecutor:
                 and not self._degraded):
             self._degraded = True
             self.stats.resilience.degraded_serial = True
-            get_obs().counter("executor.degraded_serial").inc()
-            get_obs().gauge("executor.ladder_degraded").set(1)
+            get_obs().counter("executor.degraded_serial", timing=True).inc()
+            get_obs().gauge("executor.ladder_degraded", timing=True).set(1)
             checkpoint.get_supervisor().note("degraded-serial")
             print(
                 "repro: worker pool failed %d times; degrading to "
@@ -774,12 +760,12 @@ class CampaignExecutor:
                 return batch.result
             except FuturesTimeoutError as exc:
                 rstats.timeouts += 1
-                get_obs().counter("executor.task_timeouts").inc()
+                get_obs().counter("executor.task_timeouts", timing=True).inc()
                 self._note_batch_error("timeout", exc)
                 self._recycle_pool(kill=True, only_if=batch.pool)
             except BrokenProcessPool as exc:
                 rstats.broken_pools += 1
-                get_obs().counter("executor.broken_pools").inc()
+                get_obs().counter("executor.broken_pools", timing=True).inc()
                 self._note_batch_error("worker-crash", exc)
                 self._recycle_pool(kill=False, only_if=batch.pool)
             except Exception as exc:
@@ -798,12 +784,13 @@ class CampaignExecutor:
                             batch.fn, *batch.header, batch.items)
                         batch.pool = pool
                         rstats.retries += 1
-                        get_obs().counter("executor.task_retries").inc()
+                        get_obs().counter("executor.task_retries",
+                                          timing=True).inc()
                     except Exception:
                         batch.future = None
         # Out of retries (or no usable pool): run the batch here.
         rstats.inline_fallbacks += 1
-        get_obs().counter("executor.batch_inline_fallbacks").inc()
+        get_obs().counter("executor.batch_inline_fallbacks", timing=True).inc()
         checkpoint.get_supervisor().note("inline-fallback")
         batch.result = batch.fn(*batch.header, batch.items)
         return batch.result
@@ -877,7 +864,7 @@ class CampaignExecutor:
         note["traceback"] = traceback_module.format_exc()
         self.stats.resilience.note_task_error(
             stage, note["error"], note["traceback"])
-        get_obs().counter("executor.unpicklable_tasks").inc()
+        get_obs().counter("executor.unpicklable_tasks", timing=True).inc()
 
     def _run_task(self, program, plan, config):
         key = None
@@ -980,10 +967,10 @@ class CampaignExecutor:
         speculative work happens at all.
         """
         obs = get_obs()
-        # Venue gauges (jobs-dependent by nature, so they live in the
-        # plain metrics registry — never the deterministic timeseries).
-        queue_gauge = obs.gauge("executor.queue_depth")
-        window_gauge = obs.gauge("executor.dispatch_window")
+        # Venue gauges: jobs-dependent by nature, so flagged timing and
+        # kept out of the deterministic surface.
+        queue_gauge = obs.gauge("executor.queue_depth", timing=True)
+        window_gauge = obs.gauge("executor.dispatch_window", timing=True)
         pending = deque()
         tasks = iter(tasks)
         exhausted = False
@@ -1030,7 +1017,7 @@ class CampaignExecutor:
                         entry[2].future.cancel()
             if discarded:
                 self.stats.speculation_discarded += discarded
-                obs.counter("executor.speculation_discarded") \
+                obs.counter("executor.speculation_discarded", timing=True) \
                     .inc(discarded)
 
     def _dispatch(self, task, pool, open_batch, batch_size, inflight):
@@ -1101,7 +1088,7 @@ class CampaignExecutor:
             duration = payload["duration"]
             self.stats.saved_seconds += duration
             self._sync_cache_stats()
-            obs.counter("executor.cache_hits").inc()
+            obs.counter("executor.cache_hits", timing=True).inc()
             # The cache stores no span buffer; synthesize the run span so
             # the trace keeps one per consumed run either way.
             obs.tracer.record_complete(
@@ -1113,7 +1100,7 @@ class CampaignExecutor:
             duration, value, obs_payload = results[index]
             self.stats.pool_runs += 1
             self.stats.worker_pids.add(pid)
-            obs.counter("executor.dispatch_pool").inc()
+            obs.counter("executor.dispatch_pool", timing=True).inc()
             obs.merge_payload(obs_payload)
         else:
             started = time.perf_counter()
@@ -1123,7 +1110,7 @@ class CampaignExecutor:
             duration = time.perf_counter() - started
             pid = None
             self.stats.inline_runs += 1
-            obs.counter("executor.dispatch_inline").inc()
+            obs.counter("executor.dispatch_inline", timing=True).inc()
         self.stats.busy_seconds += duration
         if task.key is not None:
             self.cache.put(task.key, {"value": value,

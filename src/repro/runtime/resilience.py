@@ -19,10 +19,12 @@ record.  Three pieces:
   instead.  ``skip`` may be ``?``, deriving a small deterministic
   offset from the plan seed and site name, so one seed shifts every
   site's firing point reproducibly.
-* **Advisory file locking.**  :class:`FileLock` wraps ``fcntl.flock``
-  (no-op where ``fcntl`` is unavailable) and serializes the ledger's
-  append+index transaction and the run cache's publish step, so
-  concurrent CLI invocations interleave safely.
+* **Advisory file locking and atomic publication.**  :class:`FileLock`
+  wraps ``fcntl.flock`` (no-op where ``fcntl`` is unavailable) and
+  serializes the ledger's append+index transaction and the run cache's
+  publish step, so concurrent CLI invocations interleave safely;
+  :func:`atomic_write` publishes a whole file by temp file + rename,
+  so readers never see a torn one.
 * **Retry/backoff policy.**  :class:`ResiliencePolicy` bounds how the
   executor reacts to worker failures — per-dispatch timeout, retry
   count, exponential backoff, and the pool-restart budget after which
@@ -32,13 +34,14 @@ record.  Three pieces:
 Instrumented production code calls :func:`fault_point` at each site.
 With no active plan that is one module-global check — the chaos
 harness costs ~nothing when idle (pinned by
-``benchmarks/test_resilience_overhead.py``).
+``benchmarks/test_overhead.py``).
 """
 
 import contextlib
 import hashlib
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -145,6 +148,31 @@ class FileLock:
     def __exit__(self, *_exc):
         self.release()
         return False
+
+
+def atomic_write(path, data):
+    """Publish *data* (``bytes`` or ``str``) at *path* atomically.
+
+    Writes a temp file in the target directory, then renames it over
+    *path* (``os.replace``), so a concurrent reader sees the old file or
+    the new one, never a torn write; the temp file is removed on failure.
+    Raises ``OSError``; callers own their fault points, locking, and
+    best-effort policy.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") \
+                as handle:
+            handle.write(data)
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -578,6 +606,7 @@ __all__ = [
     "ResiliencePolicy",
     "ResilienceStats",
     "active_plan",
+    "atomic_write",
     "fault_point",
     "install_plan",
     "mark_worker_process",

@@ -1,10 +1,11 @@
 """Cross-worker metrics merge invariance.
 
-Worker buffers (metrics + the streaming timeseries) merged back into
-the consumer must be byte-identical to a serial run: same counters,
-same histogram populations, same exported OpenMetrics body.  These
-tests pin that contract on a 200-report triage stream and on the
-experiment drivers (table5, table7)."""
+Worker metric buffers merged back into the consumer must be
+byte-identical to a serial run: same counter totals and windows, same
+histograms, same exported OpenMetrics body.  Only instruments flagged
+``timing`` (wall-clock timers, executor venue counts) may differ.
+These tests pin that contract on a 200-report triage stream and on
+the experiment drivers (table5, table7)."""
 
 import io
 import json
@@ -12,7 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.timeseries import read_snapshot
+from repro.obs.export import read_snapshot
 
 
 def run_cli(*argv):
@@ -64,34 +65,37 @@ def test_200_report_export_bodies_are_byte_identical(triage_pair):
     body4 = _export(snapshot=triage_pair["4"]["snapshot"])
     assert body1 == body4
     assert "repro_fleet_reports_total 200" in body1
+    assert "repro_machine_runs_total" in body1
 
 
 def test_200_report_ledger_exports_are_byte_identical(triage_pair):
     """Rebuilding the snapshot from the ledger (a second, independent
-    merge of the per-invocation timeseries payloads) agrees too."""
+    merge of the per-invocation metrics payloads) agrees too."""
     body1 = _export(ledger=triage_pair["1"]["ledger"])
     body4 = _export(ledger=triage_pair["4"]["ledger"])
     assert body1 == body4
     assert body1 == _export(snapshot=triage_pair["1"]["snapshot"])
 
 
+def _deterministic(series):
+    """The non-timing instruments of a metrics buffer."""
+    return {kind: {name: summary
+                   for name, summary in series[kind].items()
+                   if not summary["timing"]}
+            for kind in ("counters", "gauges", "histograms")}
+
+
 def test_200_report_deterministic_series_identical(triage_pair):
-    """Below the export surface: every non-timing series in the
-    snapshot — clock, windowed buckets, gauge points, score sketches —
-    is identical; only timing sketches and the executor/wall sections
-    may differ."""
+    """Below the export surface: every non-timing instrument in the
+    snapshot — counter windows (``machine.runs`` included), gauge
+    points, histograms — is identical; only timing instruments and the
+    executor/wall sections may differ."""
     snap1 = read_snapshot(str(triage_pair["1"]["snapshot"]))
     snap4 = read_snapshot(str(triage_pair["4"]["snapshot"]))
     assert snap1["clock"] == snap4["clock"]
-    assert snap1["series"]["windowed"] == snap4["series"]["windowed"]
-    assert snap1["series"]["gauges"] == snap4["series"]["gauges"]
-    sketches1 = {name: summary for name, summary
-                 in snap1["series"]["sketches"].items()
-                 if not summary.get("timing")}
-    sketches4 = {name: summary for name, summary
-                 in snap4["series"]["sketches"].items()
-                 if not summary.get("timing")}
-    assert sketches1 == sketches4
+    deterministic = _deterministic(snap1["series"])
+    assert deterministic == _deterministic(snap4["series"])
+    assert deterministic["counters"]["machine.runs"]["buckets"]
     # The jobs-dependent part is honest about being jobs-dependent.
     assert snap1["executor"]["jobs"] == 1
     assert snap4["executor"]["jobs"] == 4
@@ -99,19 +103,13 @@ def test_200_report_deterministic_series_identical(triage_pair):
 
 def _deterministic_metrics(path):
     """The jobs-invariant projection of a --metrics-out dump: drop
-    executor venue instruments and wall-clock histogram moments (their
-    populations must still agree)."""
+    timing instruments, keeping the populations of timing histograms
+    (those must still agree)."""
     payload = json.loads(path.read_text())
-    projection = {"counters": {}, "gauges": {}, "histograms": {}}
-    for kind in ("counters", "gauges"):
-        for name, value in payload[kind].items():
-            if not name.startswith("executor."):
-                projection[kind][name] = value
+    projection = _deterministic(payload)
     for name, summary in payload["histograms"].items():
-        if name.endswith("seconds"):
+        if summary["timing"]:
             projection["histograms"][name] = {"count": summary["count"]}
-        else:
-            projection["histograms"][name] = summary
     return projection
 
 

@@ -52,9 +52,9 @@ def test_machine_harvest_records_hardware_counts():
             machine.set_global(name, value)
         machine.run(max_steps=plan.max_steps)
     counters = obs.metrics.to_dict()["counters"]
-    assert counters["machine.runs"] == 1
-    assert counters["machine.instructions_retired"] > 0
-    assert counters["cache.bus_transactions"] > 0
+    assert counters["machine.runs"]["total"] == 1
+    assert counters["machine.instructions_retired"]["total"] > 0
+    assert counters["cache.bus_transactions"]["total"] > 0
     histograms = obs.metrics.to_dict()["histograms"]
     assert histograms["machine.run_retired"]["count"] == 1
 
@@ -87,10 +87,10 @@ def _diagnosis_obs(executor):
 
 
 def _venue_free(counters):
-    """Counters minus the execution-venue ones (dispatch routing and
+    """Counters minus the timing-flagged ones (dispatch routing and
     speculation are where-the-run-ran facts; they legitimately differ)."""
-    return {name: value for name, value in counters.items()
-            if not name.startswith("executor.")}
+    return {name: summary for name, summary in counters.items()
+            if not summary["timing"]}
 
 
 def test_trace_and_metrics_are_jobs_invariant():
@@ -109,8 +109,8 @@ def test_trace_and_metrics_are_jobs_invariant():
     counters_pool = pooled.metrics.to_dict()["counters"]
     assert _venue_free(counters_seq) == _venue_free(counters_pool)
     # The same runs executed, just on pool workers.
-    assert counters_pool["executor.dispatch_pool"] == \
-        counters_pool["machine.runs"]
+    assert counters_pool["executor.dispatch_pool"]["total"] == \
+        counters_pool["machine.runs"]["total"]
     assert counters_pool["machine.runs"] == counters_seq["machine.runs"]
 
 
@@ -123,7 +123,8 @@ def test_merge_payload_round_trips_both_buffers():
     parent = Observability()
     with parent.span("campaign"):
         parent.merge_payload(payload)
-    assert parent.metrics.to_dict()["counters"]["machine.runs"] == 1
+    assert parent.metrics.to_dict()["counters"]["machine.runs"]["total"] \
+        == 1
     paths = sorted(r["path"] for r in parent.tracer.to_records())
     assert paths == ["campaign", "campaign/interp.run"]
 

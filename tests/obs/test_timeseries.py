@@ -1,4 +1,6 @@
-"""Tests for the streaming time-series layer (repro.obs.timeseries)."""
+"""Tests for the logical-clock side of the metrics registry
+(repro.obs.metrics: per-window counters, gauge points, quantile
+histograms) and the telemetry snapshot file (repro.obs.export)."""
 
 import json
 import math
@@ -6,40 +8,39 @@ import math
 import pytest
 
 from repro.obs import NULL_OBS, Observability
-from repro.obs.timeseries import (
-    DEFAULT_WINDOW,
-    GaugeSeries,
-    LogicalClock,
+from repro.obs.export import (
     NotASnapshot,
-    NULL_TIMESERIES,
-    QuantileSketch,
     SNAPSHOT_FORMAT_VERSION,
-    Timeseries,
-    WindowedCounter,
     build_snapshot,
     publish_snapshot,
     read_snapshot,
+)
+from repro.obs.metrics import (
+    DEFAULT_WINDOW,
+    NULL_METRICS,
+    Histogram,
+    Metrics,
 )
 
 
 # -- logical clock ------------------------------------------------------
 
 def test_clock_ticks_monotonically():
-    clock = LogicalClock()
-    assert clock.now == 0
-    assert clock.tick() == 1
-    assert clock.tick(3) == 4
-    assert clock.now == 4
+    metrics = Metrics()
+    assert metrics.now == 0
+    assert metrics.tick() == 1
+    assert metrics.tick(3) == 4
+    assert metrics.now == 4
 
 
-# -- windowed counter ---------------------------------------------------
+# -- counter windows ----------------------------------------------------
 
 def test_windowed_counter_buckets_by_clock_window():
-    clock = LogicalClock()
-    counter = WindowedCounter("events", clock, window=4)
+    metrics = Metrics()
+    counter = metrics.counter("events", window=4)
     for _ in range(10):
         counter.inc()
-        clock.tick()
+        metrics.tick()
     summary = counter.summary()
     assert summary["total"] == 10
     # ticks 0..9 with window 4: windows 0 (ticks 0-3), 1 (4-7), 2 (8-9)
@@ -47,41 +48,41 @@ def test_windowed_counter_buckets_by_clock_window():
 
 
 def test_windowed_counter_merge_adds_buckets():
-    clock = LogicalClock()
-    a = WindowedCounter("x", clock, window=4)
+    a = Metrics().counter("x", window=4)
     a.inc(2)
-    b = WindowedCounter("x", LogicalClock(6), window=4)
+    later = Metrics()
+    later.tick(6)
+    b = later.counter("x", window=4)
     b.inc(5)
     a.merge(b.summary())
     assert a.total == 7
     assert a.summary()["buckets"] == {"0": 2, "1": 5}
 
 
-# -- gauge series -------------------------------------------------------
+# -- gauge points -------------------------------------------------------
 
 def test_gauge_series_last_write_per_tick_wins():
-    clock = LogicalClock()
-    gauge = GaugeSeries("rank", clock)
+    metrics = Metrics()
+    gauge = metrics.gauge("rank")
     gauge.set(5)
     gauge.set(3)                      # same tick: overwrite
-    clock.tick()
+    metrics.tick()
     gauge.set(1)
-    assert gauge.last == 1
+    assert gauge.value == 1
     assert gauge.summary()["points"] == [[0, 3], [1, 1]]
 
 
 def test_gauge_series_merge_overwrites_per_tick():
-    clock = LogicalClock()
-    a = GaugeSeries("rank", clock)
+    a = Metrics().gauge("rank")
     a.set(9)
     a.merge({"points": [[0, 4], [7, 1]]})
     assert a.summary()["points"] == [[0, 4], [7, 1]]
 
 
-# -- quantile sketch ----------------------------------------------------
+# -- quantile histogram -------------------------------------------------
 
 def test_sketch_quantiles_within_relative_error():
-    sketch = QuantileSketch("lat", alpha=0.01)
+    sketch = Histogram("lat", alpha=0.01)
     values = [0.001 * i for i in range(1, 1001)]
     for value in values:
         sketch.observe(value)
@@ -92,7 +93,7 @@ def test_sketch_quantiles_within_relative_error():
 
 
 def test_sketch_zero_and_negative_share_the_zero_bucket():
-    sketch = QuantileSketch("x")
+    sketch = Histogram("x")
     sketch.observe(0.0)
     sketch.observe(-3.0)
     sketch.observe(10.0)
@@ -102,27 +103,27 @@ def test_sketch_zero_and_negative_share_the_zero_bucket():
 
 
 def test_sketch_merge_is_exact_and_order_independent():
-    serial = QuantileSketch("x")
-    part_a = QuantileSketch("x")
-    part_b = QuantileSketch("x")
+    serial = Histogram("x")
+    part_a = Histogram("x")
+    part_b = Histogram("x")
     for index in range(200):
         value = 0.5 + (index % 17) * 0.25
         serial.observe(value)
         (part_a if index % 2 else part_b).observe(value)
-    merged = QuantileSketch("x")
+    merged = Histogram("x")
     merged.merge(part_a.summary())
     merged.merge(part_b.summary())
     assert merged.summary() == serial.summary()
     # Reverse merge order: byte-identical summaries either way.
-    other = QuantileSketch("x")
+    other = Histogram("x")
     other.merge(part_b.summary())
     other.merge(part_a.summary())
     assert other.summary() == merged.summary()
 
 
 def test_sketch_merge_rejects_alpha_mismatch():
-    sketch = QuantileSketch("x", alpha=0.01)
-    foreign = QuantileSketch("x", alpha=0.05)
+    sketch = Histogram("x", alpha=0.01)
+    foreign = Histogram("x", alpha=0.05)
     foreign.observe(1.0)
     with pytest.raises(ValueError):
         sketch.merge(foreign.summary())
@@ -131,65 +132,63 @@ def test_sketch_merge_rejects_alpha_mismatch():
 # -- registry -----------------------------------------------------------
 
 def test_registry_instruments_are_cached_by_name():
-    ts = Timeseries()
-    assert ts.windowed("a") is ts.windowed("a")
-    assert ts.gauge_series("g") is ts.gauge_series("g")
-    assert ts.sketch("s") is ts.sketch("s")
+    metrics = Metrics()
+    assert metrics.counter("a") is metrics.counter("a")
+    assert metrics.gauge("g") is metrics.gauge("g")
+    assert metrics.histogram("s") is metrics.histogram("s")
 
 
 def test_registry_roundtrip_through_to_dict_merge():
-    ts = Timeseries()
+    metrics = Metrics()
     for index in range(20):
-        ts.tick()
-        ts.windowed("runs").inc()
-        ts.gauge_series("rank").set(20 - index)
-        ts.sketch("score").observe(0.1 * (index + 1))
-    clone = Timeseries()
-    clone.merge(ts.to_dict())
-    assert clone.to_dict() == ts.to_dict()
-    assert clone.now == ts.now
+        metrics.tick()
+        metrics.counter("runs").inc()
+        metrics.gauge("rank").set(20 - index)
+        metrics.histogram("score").observe(0.1 * (index + 1))
+    clone = Metrics()
+    clone.merge(metrics.to_dict())
+    assert clone.to_dict() == metrics.to_dict()
+    assert clone.now == metrics.now
 
 
 def test_registry_merge_takes_max_clock():
-    ts = Timeseries()
-    ts.tick(5)
-    ts.merge({"clock": 3})
-    assert ts.now == 5
-    ts.merge({"clock": 11})
-    assert ts.now == 11
+    metrics = Metrics()
+    metrics.tick(5)
+    metrics.merge({"clock": 3})
+    assert metrics.now == 5
+    metrics.merge({"clock": 11})
+    assert metrics.now == 11
 
 
 def test_timer_observes_into_a_timing_sketch():
-    ts = Timeseries()
-    with ts.timer("stage.x.seconds"):
+    metrics = Metrics()
+    with metrics.timer("stage.x.seconds"):
         pass
-    sketch = ts.sketch("stage.x.seconds")
-    assert sketch.timing is True
-    assert sketch.count == 1
+    histogram = metrics.histogram("stage.x.seconds")
+    assert histogram.timing is True
+    assert histogram.count == 1
 
 
 def test_jobs_invariance_by_construction():
     """The same consumption order yields identical serialized series
     no matter how worker buffers were split."""
-    def consume(ts):
+    def consume(metrics):
         for index in range(30):
-            ts.tick()
-            ts.windowed("runs", window=8).inc()
-            ts.sketch("score").observe(float(index % 7))
-    serial = Timeseries()
+            metrics.tick()
+            metrics.counter("runs", window=8).inc()
+            metrics.histogram("score").observe(float(index % 7))
+    serial = Metrics()
     consume(serial)
-    # "Workers": two buffers merged into a consumer that ticked the
-    # same 30 progress points.
-    consumer = Timeseries()
-    worker = Timeseries()
+    # "Workers": fresh, never-ticked buffers merged into a consumer
+    # that ticked the same 30 progress points.
+    consumer = Metrics()
     for index in range(30):
         consumer.tick()
-        target = consumer if index % 3 else worker
-        # worker buffers observe against the consumer's clock position
-        worker.clock.now = consumer.clock.now
-        target.windowed("runs", window=8).inc()
-        target.sketch("score").observe(float(index % 7))
-    consumer.merge(worker.to_dict())
+        target = consumer if index % 3 else Metrics(window=8)
+        target.counter("runs", window=8).inc()
+        target.histogram("score").observe(float(index % 7))
+        if target is not consumer:
+            consumer.merge(target.to_dict())
     assert json.dumps(consumer.to_dict(), sort_keys=True) \
         == json.dumps(serial.to_dict(), sort_keys=True)
 
@@ -197,61 +196,62 @@ def test_jobs_invariance_by_construction():
 # -- the null registry --------------------------------------------------
 
 def test_null_timeseries_hands_out_singletons():
-    assert NULL_TIMESERIES.windowed("a") is NULL_TIMESERIES.windowed("b")
-    assert NULL_TIMESERIES.gauge_series("a") \
-        is NULL_TIMESERIES.sketch("b")
-    assert NULL_TIMESERIES.timer("a") is NULL_TIMESERIES.timer("b")
-    assert NULL_TIMESERIES.tick() == 0
-    assert NULL_TIMESERIES.now == 0
+    assert NULL_METRICS.counter("a") is NULL_METRICS.counter("b")
+    assert NULL_METRICS.gauge("a") is NULL_METRICS.histogram("b")
+    assert NULL_METRICS.timer("a") is NULL_METRICS.timer("b")
+    assert NULL_METRICS.tick() == 0
+    assert NULL_METRICS.now == 0
 
 
 def test_null_timeseries_instruments_do_nothing():
-    instrument = NULL_TIMESERIES.windowed("x")
+    instrument = NULL_METRICS.counter("x")
     instrument.inc()
     instrument.set(3)
     instrument.observe(1.0)
     assert instrument.quantile(0.5) is None
-    assert NULL_TIMESERIES.to_dict()["windowed"] == {}
-    with NULL_TIMESERIES.timer("t"):
+    assert NULL_METRICS.to_dict()["counters"] == {}
+    with NULL_METRICS.timer("t"):
         pass
 
 
 def test_obs_bundle_wires_the_timeseries():
     obs = Observability()
-    assert obs.timeseries.enabled
-    assert NULL_OBS.timeseries is NULL_TIMESERIES
+    assert obs.metrics.enabled
+    assert NULL_OBS.metrics is NULL_METRICS
     with obs.timer("stage.y.seconds"):
         pass
     payload = obs.to_payload()
-    assert payload["timeseries"]["sketches"]["stage.y.seconds"]["count"] \
+    assert set(payload) == {"metrics", "spans"}
+    assert payload["metrics"]["histograms"]["stage.y.seconds"]["count"] \
         == 1
     other = Observability()
     other.merge_payload(payload)
-    assert other.timeseries.sketch("stage.y.seconds").count == 1
+    assert other.metrics.histogram("stage.y.seconds").count == 1
 
 
 # -- snapshots ----------------------------------------------------------
 
 def test_snapshot_roundtrip(tmp_path):
-    ts = Timeseries()
-    ts.tick(4)
-    ts.windowed("runs").inc(4)
-    snapshot = build_snapshot(ts, fleet={"reports": 4}, complete=True)
+    metrics = Metrics()
+    metrics.tick(4)
+    metrics.counter("runs").inc(4)
+    snapshot = build_snapshot(metrics, fleet={"reports": 4},
+                              complete=True)
     assert snapshot["version"] == SNAPSHOT_FORMAT_VERSION
     path = tmp_path / "snap.json"
     assert publish_snapshot(str(path), snapshot)
     loaded = read_snapshot(str(path))
     assert loaded["complete"] is True
     assert loaded["clock"] == 4
-    assert loaded["series"]["windowed"]["runs"]["total"] == 4
+    assert loaded["series"]["counters"]["runs"]["total"] == 4
     assert loaded["fleet"] == {"reports": 4}
 
 
 def test_publish_snapshot_is_atomic(tmp_path):
     path = tmp_path / "snap.json"
-    ts = Timeseries()
-    publish_snapshot(str(path), build_snapshot(ts))
-    publish_snapshot(str(path), build_snapshot(ts, complete=True))
+    metrics = Metrics()
+    publish_snapshot(str(path), build_snapshot(metrics))
+    publish_snapshot(str(path), build_snapshot(metrics, complete=True))
     # No temp droppings left behind.
     assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
     assert read_snapshot(str(path))["complete"] is True
@@ -267,6 +267,22 @@ def test_read_snapshot_rejects_non_snapshots(tmp_path):
         read_snapshot(str(path))
 
 
+def test_read_snapshot_rejects_unknown_versions(tmp_path):
+    """A version-1 snapshot (two registries) must not render as an
+    empty dashboard: the reader names the version it cannot read."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({
+        "version": 1, "clock": 3, "complete": True,
+        "series": {"clock": 3, "windowed": {}, "gauges": {},
+                   "sketches": {}}}))
+    with pytest.raises(NotASnapshot, match="version 1"):
+        read_snapshot(str(path))
+    snapshot = build_snapshot(Metrics())
+    del snapshot["version"]
+    path.write_text(json.dumps(snapshot))
+    with pytest.raises(NotASnapshot, match="version None"):
+        read_snapshot(str(path))
+
+
 def test_default_window_constant():
-    ts = Timeseries()
-    assert ts.windowed("x").window == DEFAULT_WINDOW
+    assert Metrics().counter("x").window == DEFAULT_WINDOW

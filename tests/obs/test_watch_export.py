@@ -11,8 +11,9 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Observability, use
-from repro.obs.timeseries import Timeseries, build_snapshot, \
-    publish_snapshot
+from repro.obs.ledger import Ledger
+from repro.obs.export import build_snapshot, publish_snapshot
+from repro.obs.metrics import Metrics
 from repro.obs.watch import render_dashboard, sparkline, watch
 
 
@@ -49,16 +50,20 @@ def test_sparkline_scales_to_levels():
 
 
 def test_render_dashboard_sections():
-    ts = Timeseries()
+    metrics = Metrics()
     for _ in range(5):
-        ts.tick()
-        ts.windowed("fleet.reports").inc()
-    ts.gauge_series("fleet.rank_of_true_cause.abcd1234").set(1)
-    with ts.timer("stage.cluster.seconds"):
+        metrics.tick()
+        metrics.counter("fleet.reports").inc()
+    metrics.counter("executor.dispatch_pool", timing=True).inc()
+    metrics.gauge("fleet.rank_of_true_cause.abcd1234").set(1)
+    with metrics.timer("stage.cluster.seconds"):
         pass
     frame = render_dashboard(build_snapshot(
-        ts, fleet={"reports": 5}, executor={"jobs": 2}, complete=False))
+        metrics, fleet={"reports": 5}, executor={"jobs": 2},
+        complete=False))
     assert "running" in frame
+    assert "fleet.reports" in frame
+    assert "executor.dispatch_pool" not in frame     # timing: not shown
     assert "abcd1234" in frame
     assert "stage.cluster.seconds" in frame
     assert "executor" in frame and "jobs=2" in frame
@@ -91,9 +96,9 @@ def test_watch_rejects_non_snapshot(tmp_path):
 
 def test_watch_live_stops_on_complete(tmp_path):
     path = tmp_path / "live.json"
-    ts = Timeseries()
-    ts.tick()
-    publish_snapshot(str(path), build_snapshot(ts, complete=True))
+    metrics = Metrics()
+    metrics.tick()
+    publish_snapshot(str(path), build_snapshot(metrics, complete=True))
     out = io.StringIO()
     code = watch(str(path), out, interval=0.01, clear=False)
     assert code == 0
@@ -109,8 +114,10 @@ def test_export_from_snapshot_is_valid_openmetrics(published):
     assert text.rstrip().endswith("# EOF")
     assert "# TYPE repro_logical_clock counter" in text
     assert "repro_fleet_reports_total 8" in text
-    # Timing sketches stay out of the deterministic surface...
+    assert "repro_machine_runs_total" in text
+    # Timing instruments stay out of the deterministic surface...
     assert "stage_campaign_seconds" not in text
+    assert "repro_executor_" not in text
     # ...unless explicitly asked for.
     code, timed = run_cli("obs", "export", "--snapshot",
                           str(published["snapshot"]),
@@ -143,6 +150,33 @@ def test_export_to_file(published, tmp_path):
     assert code == 0
     assert "written to" in text
     assert out_path.read_text().rstrip().endswith("# EOF")
+
+
+def test_export_from_ledger_folds_pre_merge_entries(published, tmp_path):
+    """Ledger entries written before the two registries merged carry
+    their telemetry under ``obs.timeseries`` (``windowed``/``sketches``)
+    and must still export, identically."""
+    ledger = Ledger(tmp_path / "legacy")
+    for entry in Ledger(published["ledger"]).entries(kind="triage",
+                                                      workload="fleet"):
+        series = entry["obs"]
+        legacy = {"counters": {},           # plain ints, never exported
+                  "timeseries": {
+                      "clock": series["clock"],
+                      "window": series["window"],
+                      "windowed": series["counters"],
+                      "gauges": series["gauges"],
+                      "sketches": series["histograms"]}}
+        ledger.append(kind="triage", tool=None, workload="fleet",
+                      seed=entry["seed"], params=entry["params"],
+                      quality=entry["quality"], obs=legacy)
+    code, from_legacy = run_cli("obs", "export", "--ledger-dir",
+                                str(tmp_path / "legacy"))
+    assert code == 0
+    code, from_ledger = run_cli("obs", "export", "--ledger-dir",
+                                str(published["ledger"]))
+    assert from_legacy == from_ledger
+    assert "repro_fleet_reports_total 8" in from_legacy
 
 
 def test_export_without_telemetry_exits_2(tmp_path):

@@ -174,29 +174,39 @@ def test_kill_at_every_site_then_resume_is_byte_identical(tmp_path, site):
 # Jobs and backend matrix
 # ----------------------------------------------------------------------
 
+def _counters(path):
+    """Counter totals of a ``--metrics-out`` dump."""
+    with open(path) as handle:
+        counters = json.load(handle)["counters"]
+    return {name: summary["total"] for name, summary in counters.items()}
+
+
 @pytest.mark.parametrize("backend", ["reference", "threaded"])
 @pytest.mark.parametrize("jobs", ["1", "4"])
 def test_kill_resume_across_jobs_and_backends(tmp_path, jobs, backend):
-    argv = ["diagnose", "sort", "--runs", "3",
-            "--jobs", jobs, "--backend", backend]
-    result = _kill_resume_roundtrip(tmp_path, argv,
-                                    "checkpoint-write-torn!kill:1:2")
-    if result is None:
-        pytest.skip("checkpoint-write-torn not reached")
+    argv = ["diagnose", "sort", "--runs", "12",
+            "--jobs", jobs, "--backend", backend,
+            "--metrics-out", "metrics.json"]
+    # Killed two records into the second group commit, as in the
+    # baseline cases: the first batch is on disk, so the resume replays.
+    skip = CheckpointJournal.FLUSH_EVERY + 2
+    result = _kill_resume_roundtrip(
+        tmp_path, argv, "checkpoint-write-torn!kill:1:%d" % skip)
+    assert result is not None, "checkpoint-write-torn never reached"
     clean, resumed, clean_ledger, chaos_ledger = result
     # --jobs stdout includes wall-clock executor statistics; everything
     # above that block is the diagnosis itself and must match exactly.
     assert _stable_stdout(resumed.stdout) == _stable_stdout(clean.stdout)
     assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
+    replayed = _counters(tmp_path / "metrics.json").get(
+        "checkpoint.replayed", 0)
+    assert replayed == CheckpointJournal.FLUSH_EVERY
 
 
 # ----------------------------------------------------------------------
 # CBI-family baselines
 # ----------------------------------------------------------------------
 
-def _counters(path):
-    with open(path) as handle:
-        return json.load(handle)["counters"]
 
 
 @pytest.mark.parametrize("tool,bug", [("cbi", "squid1"),
